@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
+#include <tuple>
 
 #include "src/util/assert.hpp"
 
@@ -18,39 +20,99 @@ Coord isqrt(std::int64_t x) {
   return r;
 }
 
-/// Merge cell-clipped pieces of the same shape back into maximal rects so
-/// that widths/run-lengths are evaluated on real geometry.  Pieces merge when
-/// they share an owner/kind/class/width and their union is again a rect.
-void merge_pieces(std::vector<GridShape>& pieces) {
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (std::size_t i = 0; i < pieces.size() && !changed; ++i) {
-      for (std::size_t j = i + 1; j < pieces.size(); ++j) {
-        GridShape& a = pieces[i];
-        GridShape& b = pieces[j];
-        if (a.net != b.net || a.kind != b.kind || a.cls != b.cls ||
-            a.rule_width != b.rule_width) {
-          continue;
-        }
-        const bool same_y = a.rect.ylo == b.rect.ylo && a.rect.yhi == b.rect.yhi;
-        const bool same_x = a.rect.xlo == b.rect.xlo && a.rect.xhi == b.rect.xhi;
-        const bool x_touch = a.rect.x_iv().touches(b.rect.x_iv());
-        const bool y_touch = a.rect.y_iv().touches(b.rect.y_iv());
-        if ((same_y && x_touch) || (same_x && y_touch) ||
-            a.rect.contains(b.rect) || b.rect.contains(a.rect)) {
-          a.rect = a.rect.hull(b.rect);
-          a.ripup = std::min(a.ripup, b.ripup);
-          pieces.erase(pieces.begin() + static_cast<std::ptrdiff_t>(j));
-          changed = true;
-          break;
-        }
-      }
-    }
-  }
+/// Only pieces with equal keys merge, and a merge keeps the key.
+auto merge_key(const GridShape& g) {
+  return std::tie(g.net, g.kind, g.cls, g.rule_width);
+}
+
+/// Two pieces of one key merge when their union is again a rect.
+bool unites(const Rect& a, const Rect& b) {
+  const bool same_y = a.ylo == b.ylo && a.yhi == b.yhi;
+  const bool same_x = a.xlo == b.xlo && a.xhi == b.xhi;
+  return (same_y && a.x_iv().touches(b.x_iv())) ||
+         (same_x && a.y_iv().touches(b.y_iv())) || a.contains(b) ||
+         b.contains(a);
+}
+
+/// The earlier piece in list order absorbs the later one.
+void absorb(GridShape& earlier, const GridShape& later) {
+  earlier.rect = earlier.rect.hull(later.rect);
+  earlier.ripup = std::min(earlier.ripup, later.ripup);
+}
+
+/// Rip-up level of a blocking shape: pins and blockages are fixed; other
+/// owned shapes keep their rip-up level.
+RipupLevel blocker_level(const GridShape& gs) {
+  const bool fixed_kind =
+      gs.kind == ShapeKind::kPin || gs.kind == ShapeKind::kBlockage;
+  return (gs.net >= 0 && !fixed_kind) ? gs.ripup : kFixed;
 }
 
 }  // namespace
+
+namespace detail {
+
+// Replays "merge the first mergeable pair, restart" one key at a time.  Keys
+// never interact, so each key's merges happen in the same sequence as in the
+// interleaved list.  Within a key, the cursor i keeps the invariant that no
+// piece before it has a partner: when i absorbs its first partner j, only the
+// grown piece can have gained partners, and the restart loop's next pair is
+// (k, i) for the first earlier partner k, if there is one.
+void merge_pieces(std::vector<GridShape>& pieces) {
+  const std::size_t n = pieces.size();
+  if (n < 2) return;
+  std::vector<std::size_t> order(n);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return merge_key(pieces[a]) < merge_key(pieces[b]);
+                   });
+  std::vector<char> absorbed(n, 0);
+  std::vector<std::size_t> live;  // one key's unabsorbed pieces, in order
+  for (std::size_t lo = 0, hi = 0; lo < n; lo = hi) {
+    while (hi < n && merge_key(pieces[order[hi]]) ==
+                         merge_key(pieces[order[lo]])) {
+      ++hi;
+    }
+    live.assign(order.begin() + static_cast<std::ptrdiff_t>(lo),
+                order.begin() + static_cast<std::ptrdiff_t>(hi));
+    const auto erase_live = [&](std::size_t at) {
+      absorbed[live[at]] = 1;
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(at));
+    };
+    std::size_t i = 0;
+    while (i < live.size()) {
+      std::size_t j = i + 1;
+      while (j < live.size() &&
+             !unites(pieces[live[i]].rect, pieces[live[j]].rect)) {
+        ++j;
+      }
+      if (j == live.size()) {
+        ++i;
+        continue;
+      }
+      absorb(pieces[live[i]], pieces[live[j]]);
+      erase_live(j);
+      for (std::size_t k = 0; k < i;) {
+        if (!unites(pieces[live[k]].rect, pieces[live[i]].rect)) {
+          ++k;
+          continue;
+        }
+        absorb(pieces[live[k]], pieces[live[i]]);
+        erase_live(i);
+        i = k;
+        k = 0;
+      }
+    }
+  }
+  std::size_t kept = 0;
+  for (std::size_t p = 0; p < n; ++p) {
+    if (!absorbed[p]) pieces[kept++] = pieces[p];
+  }
+  pieces.resize(kept);
+}
+
+}  // namespace detail
 
 void PlacementCheck::merge(const PlacementCheck& o) {
   allowed = allowed && o.allowed;
@@ -101,18 +163,15 @@ PlacementCheck DrcChecker::check_shape(const Shape& cand) const {
   std::vector<GridShape> pieces;
   grid_->query(cand.global_layer, window,
                [&](const GridShape& gs) { pieces.push_back(gs); });
-  merge_pieces(pieces);
+  detail::merge_pieces(pieces);
 
   for (const GridShape& gs : pieces) {
     if (gs.net >= 0 && gs.net == cand.net) continue;  // same-net exempt
     const Coord s = required_between(cand, gs);
     if (keeps_distance(cand.rect, gs.rect, s)) continue;
     result.allowed = false;
-    const bool fixed_kind =
-        gs.kind == ShapeKind::kPin || gs.kind == ShapeKind::kBlockage;
-    const RipupLevel lvl =
-        (gs.net >= 0 && !fixed_kind) ? gs.ripup : kFixed;
-    result.min_blocker_ripup = std::min(result.min_blocker_ripup, lvl);
+    result.min_blocker_ripup =
+        std::min(result.min_blocker_ripup, blocker_level(gs));
     if (gs.net >= 0 &&
         std::find(result.blocking_nets.begin(), result.blocking_nets.end(),
                   gs.net) == result.blocking_nets.end()) {
@@ -172,7 +231,7 @@ std::vector<ForbiddenRun> DrcChecker::forbidden_runs(
   std::vector<GridShape> pieces;
   grid_->query(global_layer, window,
                [&](const GridShape& gs) { pieces.push_back(gs); });
-  merge_pieces(pieces);
+  detail::merge_pieces(pieces);
 
   for (const GridShape& gs : pieces) {
     if (gs.net >= 0 && gs.net == net) continue;
@@ -206,11 +265,7 @@ std::vector<ForbiddenRun> DrcChecker::forbidden_runs(
       if (m_cross.lo >= g_cross.hi || g_cross.lo >= m_cross.hi) continue;
       const Interval f{g_along.lo - m_along.hi + 1, g_along.hi - m_along.lo - 1};
       const Interval run = f.intersection(bound);
-      if (!run.empty()) {
-        const bool fk =
-            gs.kind == ShapeKind::kPin || gs.kind == ShapeKind::kBlockage;
-        runs.push_back({run, gs.net, (gs.net >= 0 && !fk) ? gs.ripup : kFixed});
-      }
+      if (!run.empty()) runs.push_back({run, gs.net, blocker_level(gs)});
       continue;
     }
     if (gy >= s) continue;  // can never violate regardless of along position
@@ -218,13 +273,7 @@ std::vector<ForbiddenRun> DrcChecker::forbidden_runs(
     const Interval f{g_along.lo - g_max - m_along.hi,
                      g_along.hi + g_max - m_along.lo};
     const Interval run = f.intersection(bound);
-    if (!run.empty()) {
-      const bool fixed_kind =
-          gs.kind == ShapeKind::kPin || gs.kind == ShapeKind::kBlockage;
-      const RipupLevel lvl =
-          (gs.net >= 0 && !fixed_kind) ? gs.ripup : kFixed;
-      runs.push_back({run, gs.net, lvl});
-    }
+    if (!run.empty()) runs.push_back({run, gs.net, blocker_level(gs)});
   }
   return runs;
 }

@@ -93,4 +93,18 @@ class DrcChecker {
   mutable std::atomic<std::uint64_t> queries_{0};
 };
 
+namespace detail {
+
+/// Merge the cell-clipped pieces a shape-grid query returns back into
+/// maximal rects, so that widths and run-lengths are evaluated on real
+/// geometry.  Two pieces merge when they share (net, kind, class, rule
+/// width) and their union is again a rect; the earlier piece absorbs the
+/// later one (hull rect, min rip-up level).  The result equals that of
+/// repeatedly merging the first mergeable pair in list order until none is
+/// left: the same pieces, in the same order, which callers rely on because
+/// they report blocking nets in piece order.
+void merge_pieces(std::vector<GridShape>& pieces);
+
+}  // namespace detail
+
 }  // namespace bonn

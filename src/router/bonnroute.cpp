@@ -826,6 +826,9 @@ EcoReport reroute_nets(const Chip& chip, const RoutingResult& prior,
     // new wiring) and reroute those too.  Bounded: each net reroutes at most
     // once, and the sweep runs at most twice.  A tripped budget stops at the
     // pass boundary — every net past that point keeps its prior wiring.
+    // stats.seconds covers the passes and sweeps, as route_all's covers its
+    // rounds.
+    Timer detailed_timer;
     for (int pass = 0; pass < 3 && !wave.empty(); ++pass) {
       {
         BONN_TRACE_SPAN("eco.reroute_pass");
@@ -896,6 +899,7 @@ EcoReport reroute_nets(const Chip& chip, const RoutingResult& prior,
       }
       report.collision_nets += static_cast<int>(wave.size());
     }
+    stats.seconds = detailed_timer.seconds();
 
     if (budget.stopped()) {
       report.stop_reason = budget.stop_reason();

@@ -1,6 +1,7 @@
 // Distance rule checking module tests (§3.4) and the full-chip audit.
-// Includes the differential property: forbidden_runs must agree with
-// per-position check_shape along a track.
+// Includes two differential properties: forbidden_runs must agree with
+// per-position check_shape along a track, and the piece merge must match the
+// restart loop it replaced.
 #include <gtest/gtest.h>
 
 #include "src/db/instance_gen.hpp"
@@ -148,6 +149,178 @@ TEST_F(DrcTest, ForbiddenRunsMatchPointChecks) {
       if (forbidden_at(c)) {
         EXPECT_TRUE(blocked) << "false positive at " << c << " iter " << iter;
       }
+    }
+  }
+}
+
+// ------------------------------------------------------ piece merging ---
+
+/// The restart loop detail::merge_pieces replaced, kept verbatim as the
+/// reference: merge the first mergeable pair in list order, then rescan.
+void reference_merge_pieces(std::vector<GridShape>& pieces) {
+  bool changed = true;
+  while (changed) {
+    changed = false;
+    for (std::size_t i = 0; i < pieces.size() && !changed; ++i) {
+      for (std::size_t j = i + 1; j < pieces.size(); ++j) {
+        GridShape& a = pieces[i];
+        GridShape& b = pieces[j];
+        if (a.net != b.net || a.kind != b.kind || a.cls != b.cls ||
+            a.rule_width != b.rule_width) {
+          continue;
+        }
+        const bool same_y = a.rect.ylo == b.rect.ylo && a.rect.yhi == b.rect.yhi;
+        const bool same_x = a.rect.xlo == b.rect.xlo && a.rect.xhi == b.rect.xhi;
+        const bool x_touch = a.rect.x_iv().touches(b.rect.x_iv());
+        const bool y_touch = a.rect.y_iv().touches(b.rect.y_iv());
+        if ((same_y && x_touch) || (same_x && y_touch) ||
+            a.rect.contains(b.rect) || b.rect.contains(a.rect)) {
+          a.rect = a.rect.hull(b.rect);
+          a.ripup = std::min(a.ripup, b.ripup);
+          pieces.erase(pieces.begin() + static_cast<std::ptrdiff_t>(j));
+          changed = true;
+          break;
+        }
+      }
+    }
+  }
+}
+
+std::string piece_str(const GridShape& g) {
+  const Rect& r = g.rect;
+  return "[" + std::to_string(r.xlo) + "," + std::to_string(r.xhi) + "]x[" +
+         std::to_string(r.ylo) + "," + std::to_string(r.yhi) + "] net " +
+         std::to_string(g.net) + " kind " +
+         std::to_string(static_cast<int>(g.kind)) + " cls " +
+         std::to_string(g.cls) + " w " + std::to_string(g.rule_width) +
+         " ripup " + std::to_string(static_cast<int>(g.ripup));
+}
+
+/// Whole-vector comparison: same pieces (rect, rip-up level, key) in the
+/// same order.
+void expect_same_pieces(const std::vector<GridShape>& got,
+                        const std::vector<GridShape>& want,
+                        const std::string& ctx) {
+  ASSERT_EQ(got.size(), want.size()) << ctx;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(piece_str(got[i]), piece_str(want[i])) << ctx << ", piece " << i;
+  }
+}
+
+/// Pieces as a shape-grid query returns them: random rects of a few
+/// interleaved keys, clipped into the cells of a grid and listed cell by
+/// cell, plus duplicates and contained sub-rects spliced in at random.
+std::vector<GridShape> random_pieces(Rng& rng) {
+  const Coord cell = rng.range(40, 100);
+  const Coord gap = rng.flip(0.5) ? 0 : 1;  // cells share edges or abut
+  std::vector<GridShape> keys(static_cast<std::size_t>(rng.range(1, 6)));
+  for (GridShape& k : keys) {
+    const ShapeKind kinds[] = {ShapeKind::kWire, ShapeKind::kJog,
+                               ShapeKind::kPin};
+    k.kind = kinds[rng.below(3)];
+    k.net = static_cast<int>(rng.range(-1, 2));
+    k.cls = static_cast<ShapeClass>(rng.below(2));
+    k.rule_width = rng.flip(0.5) ? 50 : 80;
+  }
+  struct Clipped {
+    Coord row, col;
+    GridShape piece;
+  };
+  std::vector<Clipped> clipped;
+  const auto num_shapes = rng.range(0, 40);
+  for (std::int64_t s = 0; s < num_shapes; ++s) {
+    GridShape g = keys[rng.below(keys.size())];
+    const Coord x = rng.range(0, 400);
+    const Coord y = rng.range(0, 400);
+    // One in five shapes is zero-width on one axis.
+    const Coord w = rng.flip(0.2) ? 0 : rng.range(1, 300);
+    const Coord h = rng.flip(0.2) ? 0 : rng.range(1, 300);
+    const Rect r{x, y, x + w, y + h};
+    for (Coord row = r.ylo / cell; row <= r.yhi / cell; ++row) {
+      for (Coord col = r.xlo / cell; col <= r.xhi / cell; ++col) {
+        const Rect c{col * cell, row * cell, (col + 1) * cell - gap,
+                     (row + 1) * cell - gap};
+        g.rect = r.intersection(c);
+        if (g.rect.empty()) continue;
+        clipped.push_back({row, col, g});
+      }
+    }
+  }
+  std::stable_sort(clipped.begin(), clipped.end(),
+                   [](const Clipped& a, const Clipped& b) {
+                     return std::tie(a.row, a.col) < std::tie(b.row, b.col);
+                   });
+  std::vector<GridShape> pieces;
+  for (const Clipped& c : clipped) pieces.push_back(c.piece);
+  const auto extras = rng.range(0, static_cast<std::int64_t>(pieces.size()) / 4);
+  for (std::int64_t e = 0; e < extras; ++e) {
+    GridShape g = pieces[rng.below(pieces.size())];
+    if (rng.flip(0.5)) {  // contained sub-rect, else an exact duplicate
+      g.rect.xlo = rng.range(g.rect.xlo, g.rect.xhi);
+      g.rect.xhi = rng.range(g.rect.xlo, g.rect.xhi);
+      g.rect.ylo = rng.range(g.rect.ylo, g.rect.yhi);
+      g.rect.yhi = rng.range(g.rect.ylo, g.rect.yhi);
+    }
+    pieces.insert(pieces.begin() + static_cast<std::ptrdiff_t>(
+                                       rng.below(pieces.size() + 1)),
+                  g);
+  }
+  pieces.resize(std::min(pieces.size(),
+                         static_cast<std::size_t>(rng.range(0, 300))));
+  const RipupLevel levels[] = {kFixed, kCritical, kStandard, 7, 255};
+  for (GridShape& g : pieces) g.ripup = levels[rng.below(5)];
+  return pieces;
+}
+
+TEST(MergePieces, MatchesRestartLoopOnRandomInputs) {
+  std::size_t largest = 0;
+  int cases_with_merges = 0;
+  constexpr int kCases = 1000;
+  for (int seed = 1; seed <= kCases; ++seed) {
+    Rng rng(static_cast<std::uint64_t>(seed));
+    std::vector<GridShape> got = random_pieces(rng);
+    std::vector<GridShape> want = got;
+    largest = std::max(largest, got.size());
+    reference_merge_pieces(want);
+    if (want.size() < got.size()) ++cases_with_merges;
+    detail::merge_pieces(got);
+    expect_same_pieces(got, want, "seed " + std::to_string(seed));
+    if (HasFatalFailure()) return;
+  }
+  // The inputs span the size range and mostly do merge.
+  EXPECT_GE(largest, 250u);
+  EXPECT_GE(cases_with_merges, kCases / 2);
+}
+
+TEST(MergePieces, OrderDecidesWhichPairMerges) {
+  const auto piece = [](Rect r) {
+    return GridShape{r, ShapeKind::kWire, 0, 50, 1, kStandard};
+  };
+  const GridShape p1 = piece({0, 0, 10, 10});
+  const GridShape p2 = piece({10, 0, 20, 10});
+  const GridShape p3 = piece({0, 10, 10, 20});
+  struct Case {
+    std::vector<GridShape> in;
+    std::vector<Rect> out;
+  };
+  const Case cases[] = {
+      // P1 absorbs P2 first; the wide result no longer lines up with P3.
+      {{p1, p2, p3}, {{0, 0, 20, 10}, {0, 10, 10, 20}}},
+      // P1 absorbs P3 first; the tall result no longer lines up with P2.
+      {{p1, p3, p2}, {{0, 0, 10, 20}, {10, 0, 20, 10}}},
+      // The last two merge into a piece that lines up with the first, which
+      // then absorbs it.
+      {{p3, piece({0, 0, 5, 9}), piece({5, 0, 10, 9})}, {{0, 0, 10, 20}}},
+  };
+  for (const Case& c : cases) {
+    std::vector<GridShape> got = c.in;
+    std::vector<GridShape> want = c.in;
+    detail::merge_pieces(got);
+    reference_merge_pieces(want);
+    expect_same_pieces(got, want, "pinned case");
+    ASSERT_EQ(got.size(), c.out.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(piece_str(got[i]), piece_str(piece(c.out[i])));
     }
   }
 }

@@ -397,6 +397,8 @@ TEST(Eco, UntouchedNetsKeepPriorWiring) {
   RoutingResult result;
   const EcoReport rep = reroute_nets(chip, prior, victims, fp, &result);
   EXPECT_GE(rep.nets_rerouted, static_cast<int>(victims.size()));
+  // The report times the reroute passes, as a flow's report times its rounds.
+  EXPECT_GT(rep.detailed.seconds, 0.0);
   // The edit can only propagate through transactions: every changed net was
   // requested, or touched by some reroute's transaction (rip-up victims,
   // collision victims) — never an arbitrary net.

@@ -7,7 +7,7 @@
 
 #include "bench/bench_common.hpp"
 #include "src/util/rng.hpp"
-#include "src/detailed/net_router.hpp"
+#include "src/detailed/scheduler.hpp"
 
 using namespace bonn;
 
@@ -23,8 +23,9 @@ int main(int argc, char** argv) {
   const Chip chip = generate_chip(p);
   RoutingSpace rs(chip);
   NetRouter router(rs);
+  DetailedScheduler sched(router, 1);
   DetailedStats stats;
-  router.route_all(NetRouteParams{}, &stats);
+  sched.route_all(NetRouteParams{}, &stats);
 
   const double hits = static_cast<double>(rs.fast().hits());
   const double misses = static_cast<double>(rs.fast().misses());

@@ -1,6 +1,7 @@
 // §5.1 parallelization:
-//  - global routing with shared prices across threads (volatility-tolerant
-//    block solvers): wall-clock and λ vs thread count;
+//  - global routing with chunked block solves across threads (frozen
+//    chunk-start prices, §5.1's slightly outdated prices): wall-clock and λ
+//    vs thread count — λ is identical at every count;
 //  - detailed routing by region partitioning: we build the balanced
 //    partition sequence the paper describes and report the attainable
 //    speedup (sum/max workload) per partition level.
@@ -25,7 +26,7 @@ int main() {
   RoutingSpace rs(chip);
   auto [nx, ny] = auto_tiles(chip);
 
-  std::printf("\nGlobal routing, shared-price threads:\n");
+  std::printf("\nGlobal routing, chunked block solves:\n");
   std::printf("%8s %10s %10s\n", "threads", "time[s]", "lambda");
   for (int threads : {1, 2, 4}) {
     GlobalRouter gr(chip, rs.tg(), rs.fast(), nx, ny);

@@ -13,7 +13,6 @@
 #include "src/obs/trace.hpp"
 #include "src/util/assert.hpp"
 #include "src/util/faultpoint.hpp"
-#include "src/util/timer.hpp"
 
 namespace bonn {
 
@@ -974,47 +973,6 @@ Rect NetRouter::net_reach_core(int net, int halo) const {
     for (const Rect& r : sh.global->corridor(sol, halo)) core = core.hull(r);
   }
   return core;
-}
-
-void NetRouter::route_all(const NetRouteParams& params, DetailedStats* stats) {
-  BONN_TRACE_SPAN("detailed.route_all");
-  Timer timer;
-  precompute_access(params);
-  const Chip& chip = rs_->chip();
-  const std::vector<int> order = route_order(chip);
-
-  // A net marked done can be re-opened later as a rip-up victim, so each
-  // round re-verifies connectivity instead of trusting stale flags.
-  auto connected = [&](int net) { return net_connected(net); };
-  int failed = 0;
-  for (int round = 0; round < params.rounds; ++round) {
-    BONN_TRACE_SPAN("detailed.round");
-    NetRouteParams rp = params;
-    rp.search.allowed_ripup =
-        round == 0 ? 0 : (round == 1 ? kStandard : kCritical);
-    // Escalation evidence (§4.4): how many rounds ran at each ripup level.
-    static obs::Counter& c_r0 = obs::counter("detailed.rounds_noripup");
-    static obs::Counter& c_r1 = obs::counter("detailed.rounds_standard");
-    static obs::Counter& c_r2 = obs::counter("detailed.rounds_critical");
-    (round == 0 ? c_r0 : round == 1 ? c_r1 : c_r2).add();
-    rp.corridor_halo = params.corridor_halo + round;
-    rp.commit_despite_violations = round == params.rounds - 1;
-    failed = 0;
-    for (int net : order) {
-      if (connected(net)) continue;
-      if (!route_net(net, rp, stats, 0)) ++failed;
-    }
-    if (failed == 0 && round > 0) break;
-  }
-  // Final tally: count nets still open (rip-up victims included).
-  failed = 0;
-  for (int net : order) {
-    if (!connected(net)) ++failed;
-  }
-  if (stats) {
-    stats->nets_failed = failed;
-    stats->seconds = timer.seconds();
-  }
 }
 
 }  // namespace bonn

@@ -1,4 +1,5 @@
-// Connecting nets (§4.4) — the detailed-routing driver.
+// Connecting nets (§4.4) — the per-net detailed router.  Lists of nets are
+// routed by the DetailedScheduler (scheduler.hpp), which calls route_net.
 //
 // Per net: build pin-access catalogues and a conflict-free primary access
 // selection (§4.3); then repeatedly pick an unconnected component, build the
@@ -151,14 +152,11 @@ class NetRouter {
     shared_->spread_zones = std::move(zones);
   }
 
-  /// Route every net: critical nets first (§5.1), then by size; failed nets
-  /// are retried in later rounds with ripup and wider corridors.
-  void route_all(const NetRouteParams& params, DetailedStats* stats = nullptr);
-
   /// §4.3 preprocessing: build catalogues for every pin, compute a
   /// conflict-free primary access selection per pin *cluster* (the circuit
   /// analogue), and commit the primary paths as reservations so that later
-  /// wiring cannot invalidate them.  Called by route_all; idempotent.
+  /// wiring cannot invalidate them.  Called by DetailedScheduler::route_all;
+  /// idempotent.
   void precompute_access(const NetRouteParams& params);
 
   /// Route a single net; returns true if fully connected.
@@ -195,12 +193,6 @@ class NetRouter {
   static void testing_throw_on_net(int net);
 
  private:
-  struct CompSource {
-    SearchSource src;
-    int pin = -1;          ///< pin whose access path this endpoint belongs to
-    int access_idx = -1;   ///< index into the pin's catalogue, -1 = path vertex
-  };
-
   /// `entry` is true for the net route_net was called on; rip-up victims
   /// rerouted recursively get entry = false and must land cleanly (they may
   /// never commit despite violations).

@@ -33,8 +33,13 @@ class DetailedScheduler {
 
   int threads() const { return threads_; }
 
-  /// Scheduler-driven counterpart of NetRouter::route_all: same escalation
-  /// rounds, critical-first deterministic order, window-parallel execution.
+  /// The owner router: its routing space and shared per-pin state.
+  NetRouter& router() { return *owner_; }
+
+  /// Route every net, the only multi-net routing driver: §4.3 access
+  /// precompute, then escalation rounds (no rip-up, standard, critical;
+  /// wider corridors each round; the last commits despite violations) over
+  /// the critical-first deterministic order, window-parallel per round.
   void route_all(const NetRouteParams& params, DetailedStats* stats = nullptr);
 
   /// One scheduling pass over `nets` in the given order: window phase, then

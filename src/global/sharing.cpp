@@ -41,58 +41,8 @@ FractionalSolution ResourceSharing::run(
   }
   std::vector<SteinerOracle::Workspace> ws(
       static_cast<std::size_t>(std::max(params.threads, 1)));
-  std::mutex price_mu;  // serializes price updates; reads stay unlocked
-                        // (volatility-tolerant, §5.1)
 
-  auto handle_net = [&](std::size_t n, int phase, SteinerOracle::Workspace& w) {
-    if (terminals[n].size() < 2) return;
-    auto& sols = frac.per_net[n];
-    int chosen = -1;
-
-    if (params.oracle_reuse && phase > 0 && last_idx[n] >= 0) {
-      const double cur =
-          oracle_->price(sols[static_cast<std::size_t>(last_idx[n])].first,
-                         static_cast<int>(n), y);
-      const double inflation = y[wl_res] / last_scale[n];
-      if (cur <= params.reuse_slack * last_price[n] * inflation) {
-        chosen = last_idx[n];
-        ++reuses;
-      }
-    }
-    if (chosen < 0) {
-      SteinerSolution b =
-          oracle_->solve(terminals[n], static_cast<int>(n), y, w);
-      // The reuse test compares against the price at (re)computation time,
-      // deflated by the global inflation gauge.
-      last_price[n] = b.cost;
-      last_scale[n] = y[wl_res];
-      // Deduplicate into the convex combination support.
-      chosen = -1;
-      for (std::size_t i = 0; i < sols.size(); ++i) {
-        if (sols[i].first == b) {
-          chosen = static_cast<int>(i);
-          break;
-        }
-      }
-      if (chosen < 0) {
-        sols.push_back({std::move(b), 0.0});
-        chosen = static_cast<int>(sols.size()) - 1;
-      }
-    }
-    last_idx[n] = chosen;
-    auto& [sol, weight] = sols[static_cast<std::size_t>(chosen)];
-    weight += 1.0;
-
-    // Price update: y_r *= e^{ε g_n^r(b)}.
-    std::lock_guard<std::mutex> lock(price_mu);
-    for (const auto& [e, s] : sol.edges) {
-      model_->for_each_usage(static_cast<int>(n), e, s, [&](int r, double g) {
-        y[static_cast<std::size_t>(r)] *= std::exp(params.epsilon * g);
-      });
-    }
-  };
-
-  // Deterministic chunked mode (§5.1 with reproducibility): within a chunk,
+  // Chunked block solves (§5.1 with reproducibility): within a chunk,
   // every net's reuse test and oracle solve sees the frozen chunk-start
   // prices y0 — a pure per-net map that parallelizes freely — and the price
   // updates are folded sequentially in net order afterwards.  The chunk
@@ -190,27 +140,14 @@ FractionalSolution ResourceSharing::run(
   bool stopped_early = false;
   for (int phase = 0; phase < params.phases && !stopped_early; ++phase) {
     BONN_TRACE_SPAN("global.sharing.phase");
-    if (params.deterministic) {
-      for (std::size_t lo = 0; lo < N; lo += chunk) {
-        run_chunk(lo, std::min(N, lo + chunk), phase);
-        // Budget check at the chunk boundary: the chunk just folded stays —
-        // every stop point is a deterministic prefix of the chunk sequence.
-        if (params.budget != nullptr && params.budget->stopped()) {
-          stopped_early = true;
-          break;
-        }
+    for (std::size_t lo = 0; lo < N; lo += chunk) {
+      run_chunk(lo, std::min(N, lo + chunk), phase);
+      // Budget check at the chunk boundary: the chunk just folded stays —
+      // every stop point is a deterministic prefix of the chunk sequence.
+      if (params.budget != nullptr && params.budget->stopped()) {
+        stopped_early = true;
+        break;
       }
-    } else if (pool) {
-      // Shard nets across threads; prices are shared and updated under a
-      // light lock (reads are racy by design — volatility tolerant).
-      const std::size_t T = pool->size();
-      pool->parallel_for(T, [&](std::size_t t) {
-        for (std::size_t n = t; n < N; n += T) {
-          handle_net(n, phase, ws[t]);
-        }
-      });
-    } else {
-      for (std::size_t n = 0; n < N; ++n) handle_net(n, phase, ws[0]);
     }
     if (!stopped_early) ++phases_done;
     if (params.budget != nullptr && params.budget->stopped()) {

@@ -6,8 +6,7 @@
 // consumption (y_r *= e^{ε g}), and the final fractional solution is the
 // average over phases.  Includes the practical speed-ups the paper names:
 // oracle reuse when the previous solution is still cheap under current
-// prices, and optional shared-price parallelism (volatility-tolerant block
-// solvers, §5.1).
+// prices, and parallel block solves (§5.1) in a deterministic chunked form.
 #pragma once
 
 #include <cstdint>
@@ -24,19 +23,17 @@ struct SharingParams {
   double epsilon = 1.0;    ///< ε (paper: 1 works well)
   bool oracle_reuse = true;
   double reuse_slack = 1.25;  ///< reuse while current price <= slack * old
-  int threads = 1;            ///< >1: volatility-tolerant shared prices
-  /// Deterministic parallelism: nets are processed in fixed-size chunks;
-  /// within a chunk every reuse test and oracle solve is evaluated against
-  /// the chunk-start prices (a pure map, parallelized over the pool) and
-  /// the price updates are folded sequentially in net order.  Results are
-  /// bit-identical at any thread count, including 1.  Off (default), the
-  /// legacy behaviour is kept: sequential Gauss-Seidel at threads == 1,
-  /// volatility-tolerant shared prices (racy reads, §5.1) at threads > 1.
-  bool deterministic = false;
-  /// Optional execution budget.  Polled at chunk boundaries (deterministic
-  /// mode) or between phases: on a trip the solver finishes the current
-  /// chunk, stops, and returns whatever convex combinations it has — the
-  /// rounding stage copes with nets that never received a solution.
+  /// Worker threads for the block solves.  Nets are processed in chunks of
+  /// a size that depends only on the net count; within a chunk every reuse
+  /// test and oracle solve sees the chunk-start prices (a pure map,
+  /// parallelized over the pool) and the price updates are folded
+  /// sequentially in net order.  Results are bit-identical at any thread
+  /// count, including 1.
+  int threads = 1;
+  /// Optional execution budget, polled at chunk boundaries: on a trip the
+  /// solver finishes the current chunk, stops, and returns whatever convex
+  /// combinations it has — the rounding stage copes with nets that never
+  /// received a solution.
   const Budget* budget = nullptr;
 };
 

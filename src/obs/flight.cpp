@@ -1,20 +1,15 @@
 #include "src/obs/flight.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <fstream>
 #include <memory>
 #include <mutex>
 
+#include "src/obs/metrics.hpp"
+
 namespace bonn::obs {
 
 namespace {
-
-bool env_default_enabled() {
-  const char* v = std::getenv("BONN_FLIGHT");
-  return v && !(v[0] == '0' || v[0] == 'n' || v[0] == 'N' || v[0] == 'f' ||
-                v[0] == 'F');
-}
 
 /// Per-thread ring.  Bounded: a pathological run (millions of attempts)
 /// keeps the most recent kCap records per thread and counts the rest as
@@ -85,7 +80,7 @@ Json record_json(const FlightRecord& r) {
 
 }  // namespace
 
-std::atomic<bool> Flight::g_enabled{env_default_enabled()};
+std::atomic<bool> Flight::g_enabled{env_flag("BONN_FLIGHT", false)};
 
 void Flight::set_enabled(bool on) noexcept {
   g_enabled.store(on, std::memory_order_relaxed);

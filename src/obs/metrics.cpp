@@ -8,17 +8,16 @@
 
 namespace bonn::obs {
 
+bool env_flag(const char* name, bool unset) {
+  const char* v = std::getenv(name);
+  if (v == nullptr) return unset;
+  return !(v[0] == '0' || v[0] == 'n' || v[0] == 'N' || v[0] == 'f' ||
+           v[0] == 'F');
+}
+
 namespace detail {
 
-namespace {
-bool env_default_enabled() {
-  const char* v = std::getenv("BONN_OBS");
-  return !(v && (v[0] == '0' || v[0] == 'n' || v[0] == 'N' || v[0] == 'f' ||
-                 v[0] == 'F'));
-}
-}  // namespace
-
-std::atomic<bool> g_enabled{env_default_enabled()};
+std::atomic<bool> g_enabled{env_flag("BONN_OBS", true)};
 
 int shard_index() noexcept {
   static std::atomic<int> next{0};

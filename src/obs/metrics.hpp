@@ -40,7 +40,12 @@ inline constexpr int kShards = 16;
 static_assert((kShards & (kShards - 1)) == 0, "shard mask needs a power of 2");
 }  // namespace detail
 
-/// Runtime kill switch (default: on, unless the BONN_OBS=0 env is set).
+/// Truthy environment flag: a value starting with 0/n/N/f/F is off, any
+/// other value ("1", "yes", "true", ...) is on, and an unset variable reads
+/// as `unset`.  The one parser for BONN_OBS and BONN_FLIGHT.
+bool env_flag(const char* name, bool unset);
+
+/// Runtime kill switch (default: on, unless BONN_OBS is set falsy).
 inline bool enabled() noexcept {
   if constexpr (!kCompiledIn) return false;
   return detail::g_enabled.load(std::memory_order_relaxed);

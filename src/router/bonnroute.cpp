@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <optional>
 #include <thread>
+#include <type_traits>
 
 #include "src/detailed/scheduler.hpp"
 #include "src/obs/flight.hpp"
@@ -33,31 +34,23 @@ std::pair<int, int> auto_tiles(const Chip& chip) {
 namespace {
 
 /// Per-flow observability session: applies ObsParams (with the BONN_TRACE /
-/// BONN_REPORT / BONN_OBS env fallbacks), resets the registry so the run
-/// report describes exactly this run, and owns the trace session if this
-/// flow started one.
-/// Truthy environment flag ("1", "yes", "true", ...; absent or 0/n/f = off).
-bool env_flag(const char* name) {
-  const char* v = std::getenv(name);
-  return v && !(v[0] == '0' || v[0] == 'n' || v[0] == 'N' || v[0] == 'f' ||
-                v[0] == 'F');
-}
-
+/// BONN_REPORT / BONN_OBS / BONN_FLIGHT env fallbacks), resets the registry
+/// so the run report describes exactly this run, and owns the trace session
+/// if this flow started one.
 class FlowObs {
  public:
   /// `span_name` must be a string literal (the trace keeps the pointer).
   FlowObs(const char* flow_name, const char* span_name, const ObsParams& p)
       : flow_name_(flow_name), span_name_(span_name) {
-    const char* obs_env = std::getenv("BONN_OBS");
-    const bool env_off = obs_env && obs_env[0] == '0';
-    metrics_ = p.metrics && !env_off && obs::kCompiledIn;
+    metrics_ =
+        p.metrics && obs::env_flag("BONN_OBS", true) && obs::kCompiledIn;
     obs::set_enabled(metrics_);
     if (metrics_) obs::registry().reset();
 
     // The flight recorder describes exactly this run: recomputed from the
     // params + environment each flow (a previous flow's setting never
     // leaks), and its rings cleared at the start.
-    flight_ = p.flight || env_flag("BONN_FLIGHT");
+    flight_ = p.flight || obs::env_flag("BONN_FLIGHT", false);
     obs::Flight::set_enabled(flight_);
     if (flight_) obs::Flight::reset();
 
@@ -74,16 +67,22 @@ class FlowObs {
     }
   }
 
-  /// Publish flow-level summary metrics and write trace + report files.
-  void finish(const FlowReport& report) {
+  /// Publish flow-level summary metrics and write the trace, the report
+  /// and the flight trace.  A FlowReport is written as a run report, an
+  /// EcoReport in its own ECO schema, so each round-trips as itself.
+  template <class Report>
+  void finish(const Report& report) {
+    constexpr bool kFlow = std::is_same_v<Report, FlowReport>;
     if (metrics_) {
       obs::gauge("router.total_seconds").set(report.total_seconds);
       obs::gauge("router.netlength_dbu")
           .set(static_cast<double>(report.netlength));
       obs::gauge("router.vias").set(static_cast<double>(report.vias));
-      obs::gauge("router.drc_errors")
-          .set(static_cast<double>(report.drc.errors()));
-      obs::counter("router.preroute_nets").add(report.preroute_nets);
+      if constexpr (kFlow) {
+        obs::gauge("router.drc_errors")
+            .set(static_cast<double>(report.drc.errors()));
+        obs::counter("router.preroute_nets").add(report.preroute_nets);
+      }
       obs::gauge("router.outcome")
           .set(static_cast<double>(static_cast<int>(report.outcome)));
     }
@@ -100,46 +99,17 @@ class FlowObs {
       }
     }
     if (!report_path_.empty()) {
-      if (!write_run_report(report_path_, flow_name_, report)) {
+      bool written;
+      if constexpr (kFlow) {
+        written = write_run_report(report_path_, flow_name_, report);
+      } else {
+        written = write_eco_report(report_path_, report);
+      }
+      if (!written) {
         BONN_LOGF(obs::LogLevel::kWarn, "failed to write run report to %s",
                   report_path_.c_str());
       }
     }
-    finish_common();
-  }
-
-  /// ECO variant: writes the EcoReport-shaped run report instead of a faux
-  /// FlowReport, so ECO runs round-trip their own schema.
-  void finish(const EcoReport& report) {
-    if (metrics_) {
-      obs::gauge("router.total_seconds").set(report.total_seconds);
-      obs::gauge("router.netlength_dbu")
-          .set(static_cast<double>(report.netlength));
-      obs::gauge("router.vias").set(static_cast<double>(report.vias));
-      obs::gauge("router.outcome")
-          .set(static_cast<double>(static_cast<int>(report.outcome)));
-    }
-    if (obs::Trace::active() && flow_start_us_ != kNoStart) {
-      obs::Trace::complete_event(span_name_, flow_start_us_,
-                                 obs::Trace::now_us() - flow_start_us_);
-    }
-    if (started_trace_) {
-      if (!obs::Trace::stop()) {
-        BONN_LOGF(obs::LogLevel::kWarn, "failed to write trace to %s",
-                  trace_path_.c_str());
-      }
-    }
-    if (!report_path_.empty()) {
-      if (!write_eco_report(report_path_, report)) {
-        BONN_LOGF(obs::LogLevel::kWarn, "failed to write run report to %s",
-                  report_path_.c_str());
-      }
-    }
-    finish_common();
-  }
-
- private:
-  void finish_common() {
     obs::set_phase("");
     if (flight_) {
       if (const char* env = std::getenv("BONN_FLIGHT_TRACE")) {
@@ -151,6 +121,7 @@ class FlowObs {
     }
   }
 
+ private:
   static constexpr std::uint64_t kNoStart = ~std::uint64_t{0};
   const char* flow_name_;
   const char* span_name_;
@@ -162,6 +133,141 @@ class FlowObs {
   std::string report_path_;
 };
 
+/// The BONN_* overrides, each parsed once at the flow boundary.  A
+/// set-but-malformed value is an "env.parse" error that fails the run
+/// instead of silently running with a default the caller did not ask for.
+struct EnvOverrides {
+  std::optional<long long> threads;     ///< BONN_THREADS
+  std::optional<double> deadline_s;     ///< BONN_DEADLINE_S
+  std::optional<double> memory_gb;      ///< BONN_MEM_GB
+  /// BONN_WATCHDOG_S: per-attempt wall-clock ceiling (0 = off).  Like the
+  /// budget limits it is machine-speed-dependent, hence excluded from the
+  /// params digest.
+  std::optional<double> watchdog_s;
+};
+
+/// Parse the overrides and arm the fault-injection registry from
+/// BONN_FAULTS (a malformed plan is an "env.faults" error, and the previous
+/// plan stays in force).
+EnvOverrides read_environment(std::vector<FlowError>& errors) {
+  EnvOverrides env;
+  env.threads = env_int("BONN_THREADS", 0, 4096, errors);
+  env.deadline_s = env_double("BONN_DEADLINE_S", 1e-3, 1e9, errors);
+  env.memory_gb = env_double("BONN_MEM_GB", 1e-3, 1e6, errors);
+  env.watchdog_s = env_double("BONN_WATCHDOG_S", 0.0, 1e9, errors);
+  if (auto diag = FaultPoints::arm_from_env()) {
+    append_error(errors, {"env.faults", *diag, -1});
+  }
+  return env;
+}
+
+/// What the flow runner hands a flow's phases.
+struct FlowContext {
+  const Chip& chip;
+  const FlowParams& params;
+  const Timer& total;  ///< started before validation
+  Budget& budget;      ///< params.budget with BONN_DEADLINE_S / BONN_MEM_GB
+  int threads;         ///< params.threads or BONN_THREADS; 0 = hardware
+  /// params.detailed carrying the flow budget and BONN_WATCHDOG_S.
+  NetRouteParams detailed;
+};
+
+/// Flow tail, run by the runner after every flow's phases: the per-net
+/// errors the detailed stats recovered join the report's errors, each
+/// quarantined net becomes a structured "net.quarantined" error, and a run
+/// that would otherwise count as completed is downgraded to
+/// completed_degraded — the result is usable, but some nets were given up
+/// on and their opens count.
+void apply_quarantine(FlowRunReport& report) {
+  const DetailedStats& stats = report.detailed;
+  for (const FlowError& e : stats.errors) append_error(report.errors, e);
+  for (const DetailedStats::Quarantined& q : stats.quarantined) {
+    append_error(report.errors,
+                 {"net.quarantined",
+                  "net " + std::to_string(q.net) + " quarantined (" + q.cause +
+                      "): excluded from further waves; counted as open if "
+                      "unconnected",
+                  q.net});
+  }
+  if (!stats.quarantined.empty() &&
+      report.outcome == FlowOutcome::kCompleted) {
+    report.outcome = FlowOutcome::kDegraded;
+  }
+}
+
+/// The one flow runner.  It opens the observability session, validates
+/// the chip, the parameters, the environment and then the flow's own
+/// inputs (`validate`), and fails fast with kFailed on any error.  It then
+/// builds the budget and the thread count from the parsed overrides, runs
+/// `phases` inside the recoverable-error boundary (whatever escapes is an
+/// "internal" error and kFailed, never rethrown past the flow API), folds
+/// detailed.errors and quarantined nets into the report, and closes the
+/// session.  The phases stamp total_seconds themselves, before their
+/// finalization work.
+template <class Report, class Validate, class Phases>
+Report run_flow(const char* flow_name, const char* span_name, const Chip& chip,
+                const FlowParams& params, Report report, Validate validate,
+                Phases phases) {
+  Timer total;
+  FlowObs flow_obs(flow_name, span_name, params.obs);
+  for (FlowError& e : validate_chip(chip)) {
+    append_error(report.errors, std::move(e));
+  }
+  for (FlowError& e : validate_flow_params(params)) {
+    append_error(report.errors, std::move(e));
+  }
+  const EnvOverrides env = read_environment(report.errors);
+  validate(report.errors);
+  if (!report.errors.empty()) {
+    report.outcome = FlowOutcome::kFailed;
+    report.total_seconds = total.seconds();
+    flow_obs.finish(report);
+    return report;
+  }
+  BudgetParams bp = params.budget;
+  if (env.deadline_s) bp.deadline_s = *env.deadline_s;
+  if (env.memory_gb) bp.memory_gb = *env.memory_gb;
+  Budget budget(bp.deadline_s > 0 ? Deadline::after_seconds(bp.deadline_s)
+                                  : Deadline::never(),
+                bp.memory_gb > 0 ? MemoryBudget::of_gb(bp.memory_gb)
+                                 : MemoryBudget(),
+                bp.cancel);
+  budget.set_poll_trip(bp.poll_trip);
+  int threads = env.threads ? static_cast<int>(*env.threads) : params.threads;
+  if (threads == 0) {
+    threads = static_cast<int>(std::thread::hardware_concurrency());
+  }
+  FlowContext ctx{chip, params, total, budget, std::max(threads, 1),
+              params.detailed};
+  ctx.detailed.budget = &budget;
+  if (env.watchdog_s) ctx.detailed.watchdog_s = *env.watchdog_s;
+
+  try {
+    phases(ctx, report);
+    apply_quarantine(report);
+  } catch (const std::exception& e) {
+    report.outcome = FlowOutcome::kFailed;
+    append_error(report.errors, {"internal", e.what(), -1});
+    report.total_seconds = total.seconds();
+  }
+  flow_obs.finish(report);
+  return report;
+}
+
+/// Budget-interrupted run: record which limit tripped (one budget poll).
+void mark_stopped(FlowRunReport& report, const Budget& budget) {
+  report.stop_reason = budget.stop_reason();
+  report.outcome = report.stop_reason == StopReason::kCancelled
+                       ? FlowOutcome::kCancelled
+                       : FlowOutcome::kBudgetExhausted;
+}
+
+std::pair<int, int> flow_tiles(const Chip& chip, const FlowParams& params) {
+  return params.tiles_x > 0
+             ? std::pair<int, int>{params.tiles_x, params.tiles_y}
+             : auto_tiles(chip);
+}
+
 /// End-of-phase boundary: record an RSS sample against the finished phase
 /// and move the shared phase label (trace spans + flight records) onward.
 /// `done` and `next` must be string literals.
@@ -172,10 +278,14 @@ void phase_boundary(std::vector<PhaseRss>& samples, const char* done,
   obs::set_phase(next);
 }
 
-/// Shared tail: metrics, DRC audit, Table II lengths.
-void finalize_report(const Chip& chip, RoutingSpace& rs, FlowReport& report,
-                     RoutingResult* out) {
+/// Shared tail of BR and ISR, interrupted or not: stamp total_seconds, then
+/// metrics, DRC audit and Table II lengths.  The stamp comes first so the
+/// report's total excludes this finalization.
+void finalize_report(const FlowContext& ctx, RoutingSpace& rs,
+                     FlowReport& report, RoutingResult* out) {
+  report.total_seconds = ctx.total.seconds();
   BONN_TRACE_SPAN("router.finalize");
+  const Chip& chip = ctx.chip;
   const RoutingResult result = rs.result();
   report.netlength = result.total_wirelength();
   report.vias = result.via_count();
@@ -188,6 +298,17 @@ void finalize_report(const Chip& chip, RoutingSpace& rs, FlowReport& report,
         result.net_wirelength(n.id);
   }
   if (out) *out = result;
+}
+
+/// The DRC cleanup phase of BR and ISR: local reroutes through the flow's
+/// scheduler with the flow's detailed parameters `dp`.
+void cleanup_phase(DetailedScheduler& sched, const FlowParams& params,
+                   const NetRouteParams& dp, FlowReport& report) {
+  BONN_TRACE_SPAN("router.drc_cleanup");
+  CleanupParams cp = params.cleanup;
+  cp.reroute = dp;
+  report.cleanup = DrcCleanup(sched).run(cp);
+  report.cleanup_seconds = report.cleanup.seconds;
 }
 
 /// Pre-route nets whose pins all fall into one tile (§2.5 first refinement):
@@ -221,41 +342,6 @@ int preroute_local_nets(const Chip& chip, DetailedScheduler& sched,
   return static_cast<int>(local_nets.size()) - failed;
 }
 
-/// Resolve the worker-thread count: BONN_THREADS overrides FlowParams
-/// (strictly parsed — garbage falls back with a warning), and 0 means
-/// auto-detect from the hardware.
-int resolve_threads(int requested) {
-  if (auto v = env_int("BONN_THREADS", 0, 4096)) {
-    requested = static_cast<int>(*v);
-  }
-  if (requested == 0) {
-    requested = static_cast<int>(std::thread::hardware_concurrency());
-  }
-  return std::max(requested, 1);
-}
-
-/// Budget limits with the BONN_DEADLINE_S / BONN_MEM_GB overrides applied.
-BudgetParams budget_with_env(BudgetParams bp) {
-  if (auto v = env_double("BONN_DEADLINE_S", 1e-3, 1e9)) bp.deadline_s = *v;
-  if (auto v = env_double("BONN_MEM_GB", 1e-3, 1e6)) bp.memory_gb = *v;
-  return bp;
-}
-
-Deadline flow_deadline(const BudgetParams& bp) {
-  return bp.deadline_s > 0 ? Deadline::after_seconds(bp.deadline_s)
-                           : Deadline::never();
-}
-
-MemoryBudget flow_memory(const BudgetParams& bp) {
-  return bp.memory_gb > 0 ? MemoryBudget::of_gb(bp.memory_gb)
-                          : MemoryBudget();
-}
-
-FlowOutcome outcome_of(StopReason reason) {
-  return reason == StopReason::kCancelled ? FlowOutcome::kCancelled
-                                          : FlowOutcome::kBudgetExhausted;
-}
-
 std::string checkpoint_destination(const FlowParams& params) {
   if (!params.checkpoint_path.empty()) return params.checkpoint_path;
   if (const char* env = std::getenv("BONN_CHECKPOINT")) return env;
@@ -265,48 +351,6 @@ std::string checkpoint_destination(const FlowParams& params) {
 void check_range(std::vector<FlowError>& errors, bool ok, const char* code,
                  const std::string& message) {
   if (!ok) append_error(errors, {code, message, -1});
-}
-
-/// Flow-boundary environment validation.  A set-but-malformed BONN_*
-/// override is a structured FlowError — the flow fails fast instead of
-/// silently running with a default the caller did not ask for.  Also arms
-/// the fault-injection registry from BONN_FAULTS (a malformed plan is an
-/// error too, and the previous plan stays in force).
-void validate_environment(std::vector<FlowError>& errors) {
-  env_int("BONN_THREADS", 0, 4096, &errors);
-  env_double("BONN_DEADLINE_S", 1e-3, 1e9, &errors);
-  env_double("BONN_MEM_GB", 1e-3, 1e6, &errors);
-  env_double("BONN_WATCHDOG_S", 0.0, 1e9, &errors);
-  if (auto diag = FaultPoints::arm_from_env()) {
-    append_error(errors, {"env.faults", *diag, -1});
-  }
-}
-
-/// BONN_WATCHDOG_S override: per-attempt wall-clock ceiling (0 = off).
-/// Wall-clock, so a tripped watchdog is machine-speed-dependent — like the
-/// budget limits it is excluded from the params digest.
-double watchdog_with_env(double configured) {
-  if (auto v = env_double("BONN_WATCHDOG_S", 0.0, 1e9)) return *v;
-  return configured;
-}
-
-/// Quarantine surfacing, shared by every flow tail: each quarantined net
-/// becomes a structured "net.quarantined" error, and a run that would
-/// otherwise count as completed is downgraded to completed_degraded — the
-/// result is usable, but some nets were given up on and their opens count.
-void apply_quarantine(FlowOutcome& outcome, std::vector<FlowError>& errors,
-                      const DetailedStats& stats) {
-  for (const DetailedStats::Quarantined& q : stats.quarantined) {
-    append_error(errors,
-                 {"net.quarantined",
-                  "net " + std::to_string(q.net) + " quarantined (" + q.cause +
-                      "): excluded from further waves; counted as open if "
-                      "unconnected",
-                  q.net});
-  }
-  if (!stats.quarantined.empty() && outcome == FlowOutcome::kCompleted) {
-    outcome = FlowOutcome::kDegraded;
-  }
 }
 
 }  // namespace
@@ -503,44 +547,21 @@ namespace {
 /// checkpoint and only the remaining ones execute.
 FlowReport bonnroute_impl(const Chip& chip, const FlowParams& params,
                           RoutingResult* out, const Checkpoint* resume) {
-  Timer total;
-  FlowObs flow_obs("bonnroute", "flow.bonnroute", params.obs);
-  FlowReport report;
-
-  // Fail fast on malformed inputs: every downstream stage may then assume a
-  // structurally sound chip, parameters and checkpoint.
-  for (FlowError& e : validate_chip(chip)) {
-    append_error(report.errors, std::move(e));
-  }
-  for (FlowError& e : validate_flow_params(params)) {
-    append_error(report.errors, std::move(e));
-  }
-  validate_environment(report.errors);
-  if (resume != nullptr) {
+  const auto validate = [&](std::vector<FlowError>& errors) {
+    if (resume == nullptr) return;
     for (FlowError& e : validate_checkpoint(chip, params, *resume)) {
-      append_error(report.errors, std::move(e));
+      append_error(errors, std::move(e));
     }
-  }
-  if (!report.errors.empty()) {
-    report.outcome = FlowOutcome::kFailed;
-    report.total_seconds = total.seconds();
-    flow_obs.finish(report);
-    return report;
-  }
-
-  const BudgetParams bp = budget_with_env(params.budget);
-  Budget budget(flow_deadline(bp), flow_memory(bp), bp.cancel);
-  budget.set_poll_trip(bp.poll_trip);
-  const std::string ckpt_path = checkpoint_destination(params);
-
-  try {
-    auto [nx, ny] = params.tiles_x > 0
-                        ? std::pair<int, int>{params.tiles_x, params.tiles_y}
-                        : auto_tiles(chip);
-    const int threads = resolve_threads(params.threads);
+  };
+  return run_flow("bonnroute", "flow.bonnroute", chip, params, FlowReport(),
+                  validate, [&](const FlowContext& ctx, FlowReport& report) {
+    const auto [nx, ny] = flow_tiles(chip, params);
     RoutingSpace rs(chip);
     NetRouter router(rs);
-    DetailedScheduler sched(router, threads);
+    DetailedScheduler sched(router, ctx.threads);
+    Budget& budget = ctx.budget;
+    const NetRouteParams& dp = ctx.detailed;
+    const std::string ckpt_path = checkpoint_destination(params);
 
     std::vector<SteinerSolution> routes;
     std::vector<std::pair<Rect, Coord>> zones;
@@ -549,9 +570,7 @@ FlowReport bonnroute_impl(const Chip& chip, const FlowParams& params,
     // checkpoint, persist it if a path is configured, and return the
     // best-effort partial routing currently in the routing space.
     auto interrupt = [&](FlowPhase phase, const RoutingResult* base) {
-      const StopReason reason = budget.stop_reason();
-      report.stop_reason = reason;
-      report.outcome = outcome_of(reason);
+      mark_stopped(report, budget);
       static obs::Counter& interrupts = obs::counter("router.flow_interrupts");
       interrupts.add();
       auto ck = std::make_shared<Checkpoint>();
@@ -579,19 +598,8 @@ FlowReport bonnroute_impl(const Chip& chip, const FlowParams& params,
           append_error(report.errors, {"checkpoint.save", e.what(), -1});
         }
       }
-      report.total_seconds = total.seconds();
-      finalize_report(chip, rs, report, out);
-      for (const FlowError& e : report.detailed.errors) {
-        append_error(report.errors, e);
-      }
-      apply_quarantine(report.outcome, report.errors, report.detailed);
-      flow_obs.finish(report);
-      return report;
+      finalize_report(ctx, rs, report, out);
     };
-
-    NetRouteParams dp = params.detailed;
-    dp.budget = &budget;
-    dp.watchdog_s = watchdog_with_env(dp.watchdog_s);
 
     const bool from_detailed_done =
         resume != nullptr && resume->phase >= FlowPhase::kDetailedDone;
@@ -630,16 +638,15 @@ FlowReport bonnroute_impl(const Chip& chip, const FlowParams& params,
       phase_boundary(report.phase_rss, "preroute", "global");
 
       // Global routing on capacities that already reflect the pre-routes.
-      // The sharing solver gets the flow-wide thread count in deterministic
-      // chunked mode, so its fractional solution matches at any parallelism.
+      // The sharing solver gets the flow-wide thread count; its chunked
+      // block solves match at any parallelism.
       gr.emplace(chip, rs.tg(), rs.fast(), nx, ny);
       if (resume != nullptr && resume->phase >= FlowPhase::kGlobalDone) {
         routes = resume->routes;
         zones = resume->spread_zones;
       } else {
         GlobalRouterParams gp = params.global;
-        gp.sharing.threads = threads;
-        gp.sharing.deterministic = true;
+        gp.sharing.threads = ctx.threads;
         gp.sharing.budget = &budget;
         routes = gr->route(gp, &report.global);
         if (budget.stopped()) {
@@ -689,10 +696,9 @@ FlowReport bonnroute_impl(const Chip& chip, const FlowParams& params,
       if (budget.stopped()) return interrupt(FlowPhase::kGlobalDone, nullptr);
       phase_boundary(report.phase_rss, "detailed", "cleanup");
     }
-    report.br_seconds = total.seconds();
+    report.br_seconds = ctx.total.seconds();
 
     if (params.run_cleanup) {
-      BONN_TRACE_SPAN("router.drc_cleanup");
       // Snapshot the detailed-done wiring before cleanup mutates it: if the
       // budget trips mid-cleanup, the checkpoint resumes cleanup from this
       // boundary (the partially cleaned wiring is still returned as the
@@ -702,33 +708,14 @@ FlowReport bonnroute_impl(const Chip& chip, const FlowParams& params,
       if (budget.limited()) {
         after_detailed = from_detailed_done ? resume->base : rs.result();
       }
-      DrcCleanup cleanup(router, &sched);
-      CleanupParams cp = params.cleanup;
-      cp.reroute = dp;
-      report.cleanup = cleanup.run(cp);
-      report.cleanup_seconds = report.cleanup.seconds;
+      cleanup_phase(sched, params, dp, report);
       if (budget.stopped()) {
         return interrupt(FlowPhase::kDetailedDone, &after_detailed);
       }
       phase_boundary(report.phase_rss, "cleanup", "finalize");
     }
-    report.total_seconds = total.seconds();
-    finalize_report(chip, rs, report, out);
-    for (const FlowError& e : report.detailed.errors) {
-      append_error(report.errors, e);
-    }
-    apply_quarantine(report.outcome, report.errors, report.detailed);
-    flow_obs.finish(report);
-    return report;
-  } catch (const std::exception& e) {
-    // The recoverable-error boundary: whatever escaped the per-net and
-    // per-phase handlers is reported, never rethrown past the flow API.
-    report.outcome = FlowOutcome::kFailed;
-    append_error(report.errors, {"internal", e.what(), -1});
-    report.total_seconds = total.seconds();
-    flow_obs.finish(report);
-    return report;
-  }
+    finalize_report(ctx, rs, report, out);
+  });
 }
 
 }  // namespace
@@ -746,46 +733,28 @@ FlowReport resume_flow(const Chip& chip, const Checkpoint& ckpt,
 EcoReport reroute_nets(const Chip& chip, const RoutingResult& prior,
                        const std::vector<int>& net_ids,
                        const FlowParams& params, RoutingResult* out) {
-  Timer total;
-  FlowObs flow_obs("eco", "flow.eco", params.obs);
-  EcoReport report;
-  report.nets_requested = static_cast<int>(net_ids.size());
-
-  for (FlowError& e : validate_chip(chip)) {
-    append_error(report.errors, std::move(e));
-  }
-  for (FlowError& e : validate_flow_params(params)) {
-    append_error(report.errors, std::move(e));
-  }
-  validate_environment(report.errors);
-  // A prior result that does not belong to this chip would silently corrupt
-  // the routing space on load; reject it with structured errors instead.
-  for (FlowError& e : validate_result(chip, prior)) {
-    append_error(report.errors, std::move(e));
-  }
-  for (int id : net_ids) {
-    if (id < 0 || id >= chip.num_nets()) {
-      append_error(report.errors,
-                   {"eco.net_range",
-                    "requested net " + std::to_string(id) +
-                        " out of range [0, " +
-                        std::to_string(chip.num_nets()) + ")",
-                    id});
+  EcoReport init;
+  init.nets_requested = static_cast<int>(net_ids.size());
+  const auto validate = [&](std::vector<FlowError>& errors) {
+    // A prior result that does not belong to this chip would silently
+    // corrupt the routing space on load; reject it with structured errors
+    // instead.
+    for (FlowError& e : validate_result(chip, prior)) {
+      append_error(errors, std::move(e));
     }
-  }
-  if (!report.errors.empty()) {
-    report.outcome = FlowOutcome::kFailed;
-    report.total_seconds = total.seconds();
-    flow_obs.finish(report);
-    return report;
-  }
-
-  const BudgetParams bp = budget_with_env(params.budget);
-  Budget budget(flow_deadline(bp), flow_memory(bp), bp.cancel);
-  budget.set_poll_trip(bp.poll_trip);
-
-  try {
-    const int threads = resolve_threads(params.threads);
+    for (int id : net_ids) {
+      if (id < 0 || id >= chip.num_nets()) {
+        append_error(errors,
+                     {"eco.net_range",
+                      "requested net " + std::to_string(id) +
+                          " out of range [0, " +
+                          std::to_string(chip.num_nets()) + ")",
+                      id});
+      }
+    }
+  };
+  return run_flow("eco", "flow.eco", chip, params, std::move(init), validate,
+                  [&](const FlowContext& ctx, EcoReport& report) {
     RoutingSpace rs(chip);
     obs::set_phase("eco_load");
     {
@@ -794,12 +763,10 @@ EcoReport reroute_nets(const Chip& chip, const RoutingResult& prior,
     }
     phase_boundary(report.phase_rss, "eco_load", "eco");
     NetRouter router(rs);
-    DetailedScheduler sched(router, threads);
+    DetailedScheduler sched(router, ctx.threads);
 
-    NetRouteParams rp = params.detailed;
+    NetRouteParams rp = ctx.detailed;
     rp.search.allowed_ripup = kStandard;
-    rp.budget = &budget;
-    rp.watchdog_s = watchdog_with_env(rp.watchdog_s);
     // An ECO edit must never convert a routed net into an open: a clean
     // reroute commits, a violating one commits too (it gets picked up by the
     // collision sweep or a later cleanup), and a failed one rolls back to the
@@ -838,7 +805,7 @@ EcoReport reroute_nets(const Chip& chip, const RoutingResult& prior,
         report.nets_rerouted += static_cast<int>(wave.size());
       }
       wave.clear();
-      if (budget.stopped()) break;
+      if (ctx.budget.stopped()) break;
       if (pass == 2 || stats.dirty.empty()) break;
       BONN_TRACE_SPAN("eco.collision_sweep");
       // Wiring the reroute actually changed: the requested nets plus every
@@ -901,10 +868,7 @@ EcoReport reroute_nets(const Chip& chip, const RoutingResult& prior,
     }
     stats.seconds = detailed_timer.seconds();
 
-    if (budget.stopped()) {
-      report.stop_reason = budget.stop_reason();
-      report.outcome = outcome_of(report.stop_reason);
-    }
+    if (ctx.budget.stopped()) mark_stopped(report, ctx.budget);
     phase_boundary(report.phase_rss, "eco", "finalize");
 
     const RoutingResult result = rs.result();
@@ -918,68 +882,27 @@ EcoReport reroute_nets(const Chip& chip, const RoutingResult& prior,
     report.dirty_bbox = stats.dirty.bbox;
     report.netlength = result.total_wirelength();
     report.vias = result.via_count();
-    report.total_seconds = total.seconds();
-    for (const FlowError& e : stats.errors) append_error(report.errors, e);
-    apply_quarantine(report.outcome, report.errors, stats);
+    report.total_seconds = ctx.total.seconds();
     if (out) *out = result;
-    flow_obs.finish(report);
-    return report;
-  } catch (const std::exception& e) {
-    report.outcome = FlowOutcome::kFailed;
-    append_error(report.errors, {"internal", e.what(), -1});
-    report.total_seconds = total.seconds();
-    flow_obs.finish(report);
-    return report;
-  }
+  });
 }
 
 FlowReport run_isr_flow(const Chip& chip, const FlowParams& params,
                         RoutingResult* out) {
-  Timer total;
-  FlowObs flow_obs("isr", "flow.isr", params.obs);
-  FlowReport report;
-
-  for (FlowError& e : validate_chip(chip)) {
-    append_error(report.errors, std::move(e));
-  }
-  for (FlowError& e : validate_flow_params(params)) {
-    append_error(report.errors, std::move(e));
-  }
-  validate_environment(report.errors);
-  if (!report.errors.empty()) {
-    report.outcome = FlowOutcome::kFailed;
-    report.total_seconds = total.seconds();
-    flow_obs.finish(report);
-    return report;
-  }
-
-  const BudgetParams bp = budget_with_env(params.budget);
-  Budget budget(flow_deadline(bp), flow_memory(bp), bp.cancel);
-  budget.set_poll_trip(bp.poll_trip);
-
-  try {
-    auto [nx, ny] = params.tiles_x > 0
-                        ? std::pair<int, int>{params.tiles_x, params.tiles_y}
-                        : auto_tiles(chip);
-    const int threads = resolve_threads(params.threads);
+  const auto validate = [](std::vector<FlowError>&) {};
+  return run_flow("isr", "flow.isr", chip, params, FlowReport(), validate,
+                  [&](const FlowContext& ctx, FlowReport& report) {
+    const auto [nx, ny] = flow_tiles(chip, params);
     RoutingSpace rs(chip);
     NetRouter router(rs);
-    DetailedScheduler sched(router, threads);
+    DetailedScheduler sched(router, ctx.threads);
 
     // Budget-interrupted: report the partial routing.  No checkpoint — the
     // ISR negotiation loop's history prices are not reconstructible at a
     // phase boundary, so an interrupted ISR run resumes by rerunning.
     auto interrupted = [&]() {
-      report.stop_reason = budget.stop_reason();
-      report.outcome = outcome_of(report.stop_reason);
-      report.total_seconds = total.seconds();
-      finalize_report(chip, rs, report, out);
-      for (const FlowError& e : report.detailed.errors) {
-        append_error(report.errors, e);
-      }
-      apply_quarantine(report.outcome, report.errors, report.detailed);
-      flow_obs.finish(report);
-      return report;
+      mark_stopped(report, ctx.budget);
+      finalize_report(ctx, rs, report, out);
     };
 
     // ISR global: negotiated 2D + layer assignment on the same capacities.
@@ -988,7 +911,7 @@ FlowReport run_isr_flow(const Chip& chip, const FlowParams& params,
     IsrGlobalRouter isr(chip, gr);
     std::vector<SteinerSolution> routes =
         isr.route(params.isr_global, &report.isr_global);
-    if (budget.stopped()) return interrupted();
+    if (ctx.budget.stopped()) return interrupted();
     phase_boundary(report.phase_rss, "isr_global", "track_assign");
 
     // ISR track assignment: long-distance trunks on tracks, no DRC checking
@@ -997,48 +920,28 @@ FlowReport run_isr_flow(const Chip& chip, const FlowParams& params,
       BONN_TRACE_SPAN("router.track_assign");
       assign_tracks(rs, gr, routes);
     }
-    if (budget.stopped()) return interrupted();
+    if (ctx.budget.stopped()) return interrupted();
     phase_boundary(report.phase_rss, "track_assign", "detailed");
 
     // ISR detailed: per-vertex gridless maze, greedy pin access.
-    NetRouteParams dp = params.detailed;
+    NetRouteParams dp = ctx.detailed;
     dp.vertex_search = true;
     dp.greedy_access = true;
     dp.use_pi_p = false;
     dp.layer_corridor = false;  // "purely gridless fashion"
-    dp.budget = &budget;
-    dp.watchdog_s = watchdog_with_env(dp.watchdog_s);
     router.set_global(&gr, &routes);
     sched.route_all(dp, &report.detailed);
-    if (budget.stopped()) return interrupted();
+    if (ctx.budget.stopped()) return interrupted();
     phase_boundary(report.phase_rss, "detailed", "cleanup");
-    report.br_seconds = total.seconds();
+    report.br_seconds = ctx.total.seconds();
 
     if (params.run_cleanup) {
-      BONN_TRACE_SPAN("router.drc_cleanup");
-      DrcCleanup cleanup(router, &sched);
-      CleanupParams cp = params.cleanup;
-      cp.reroute = dp;
-      report.cleanup = cleanup.run(cp);
-      report.cleanup_seconds = report.cleanup.seconds;
-      if (budget.stopped()) return interrupted();
+      cleanup_phase(sched, params, dp, report);
+      if (ctx.budget.stopped()) return interrupted();
       phase_boundary(report.phase_rss, "cleanup", "finalize");
     }
-    report.total_seconds = total.seconds();
-    finalize_report(chip, rs, report, out);
-    for (const FlowError& e : report.detailed.errors) {
-      append_error(report.errors, e);
-    }
-    apply_quarantine(report.outcome, report.errors, report.detailed);
-    flow_obs.finish(report);
-    return report;
-  } catch (const std::exception& e) {
-    report.outcome = FlowOutcome::kFailed;
-    append_error(report.errors, {"internal", e.what(), -1});
-    report.total_seconds = total.seconds();
-    flow_obs.finish(report);
-    return report;
-  }
+    finalize_report(ctx, rs, report, out);
+  });
 }
 
 }  // namespace bonn

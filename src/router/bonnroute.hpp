@@ -11,13 +11,16 @@
 // Both flows share the chip, the capacity model and the metrics code, so the
 // Table I/III comparisons isolate the algorithmic differences.
 //
-// Fault tolerance: every flow entry point validates its inputs up front,
-// runs under an optional execution budget (wall clock, RSS, cooperative
-// cancellation), and reports how it ended through FlowOutcome + FlowError
-// instead of aborting the process.  When the budget trips, the BonnRoute
-// flow checkpoints at the last completed deterministic phase boundary and
-// returns its best-effort partial routing; resume_flow replays the
-// remaining phases and reproduces the uninterrupted result bit-identically.
+// Fault tolerance: every flow entry point runs its phases inside one flow
+// runner, which validates the inputs up front (chip, parameters, BONN_*
+// overrides — each parsed once, there), runs the phases under an optional
+// execution budget (wall clock, RSS, cooperative cancellation), contains
+// escaped exceptions, and reports how the run ended through FlowOutcome +
+// FlowError instead of aborting the process.  When the budget trips, the
+// BonnRoute flow checkpoints at the last completed deterministic phase
+// boundary and returns its best-effort partial routing; resume_flow replays
+// the remaining phases and reproduces the uninterrupted result
+// bit-identically.
 #pragma once
 
 #include <memory>
@@ -36,7 +39,9 @@ namespace bonn {
 /// BONN_TRACE / BONN_REPORT environment variables, so examples/ and bench/
 /// binaries can be traced without code changes.
 struct ObsParams {
-  bool metrics = true;      ///< populate the obs metrics registry
+  /// Populate the obs metrics registry (a falsy BONN_OBS — 0, no, false —
+  /// turns it off).
+  bool metrics = true;
   /// Per-net flight recorder (src/obs/flight.hpp): one record per routing
   /// attempt, queryable via obs::Flight after the flow returns and embedded
   /// in the run report.  Off by default (the BONN_FLIGHT environment
@@ -58,7 +63,8 @@ struct PhaseRss {
 
 /// Execution budget of a flow run.  All limits default to "unlimited"; the
 /// BONN_DEADLINE_S / BONN_MEM_GB environment variables override the fields
-/// (strictly parsed — garbage is rejected with a warning, see util/env.hpp).
+/// (strictly parsed — garbage fails the run with an "env.parse" error, see
+/// util/env.hpp).
 struct BudgetParams {
   double deadline_s = 0;  ///< wall-clock limit in seconds; <= 0 = none
   double memory_gb = 0;   ///< resident-set limit in GiB; <= 0 = none
@@ -73,11 +79,10 @@ struct BudgetParams {
 struct FlowParams {
   int tiles_x = 0;  ///< 0 = auto (≈50 tracks per tile, §2.1)
   int tiles_y = 0;
-  /// Worker threads for both phases (§5.1): the global sharing solver runs
-  /// in deterministic chunked mode and detailed routing goes through the
-  /// window scheduler, so any value — including 0 = auto-detect — yields
-  /// bit-identical results.  The BONN_THREADS environment variable, when
-  /// set, overrides this field.
+  /// Worker threads for both phases (§5.1): the global sharing solver's
+  /// chunked block solves and the detailed window scheduler both yield
+  /// bit-identical results at any value — including 0 = auto-detect.  The
+  /// BONN_THREADS environment variable, when set, overrides this field.
   int threads = 1;
   GlobalRouterParams global;
   IsrGlobalParams isr_global;
@@ -92,7 +97,13 @@ struct FlowParams {
   std::string checkpoint_path;
 };
 
-struct FlowReport {
+/// What every flow run reports, whichever flow ran it: how the run ended,
+/// its diagnostics, the detailed-routing stats, the size of the result and
+/// the phase-boundary RSS samples.  FlowReport and EcoReport extend it.  The
+/// one flow runner (bonnroute.cpp) fills outcome, errors and total_seconds
+/// on rejected inputs and escaped exceptions, and folds detailed.errors and
+/// quarantined nets into errors and outcome at the end of every run.
+struct FlowRunReport {
   /// How the run ended.  kCompleted and kBudgetExhausted / kCancelled all
   /// leave a usable (possibly partial) routing in `out`; kFailed means the
   /// inputs were rejected or an internal error escaped a phase — see
@@ -102,33 +113,32 @@ struct FlowReport {
   /// Structured diagnostics: validation failures, per-net recovered errors,
   /// internal failures (capped, see append_error).
   std::vector<FlowError> errors;
+  double total_seconds = 0;
+  DetailedStats detailed;
+  Coord netlength = 0;     ///< of the full result
+  std::int64_t vias = 0;
+  std::vector<PhaseRss> phase_rss;  ///< RSS at each completed phase boundary
+};
+
+struct FlowReport : FlowRunReport {
   /// Set when the run was interrupted: the phase-boundary checkpoint that
   /// resume_flow replays from (also saved to checkpoint_path if set).
   std::shared_ptr<Checkpoint> checkpoint;
-  double total_seconds = 0;
   double br_seconds = 0;       ///< Table I "BR" column (before cleanup)
   double cleanup_seconds = 0;
   double memory_gb = 0;
   GlobalRoutingStats global;       ///< BonnRoute flow only
   IsrGlobalStats isr_global;       ///< ISR flow only
-  DetailedStats detailed;
   CleanupStats cleanup;
   DrcReport drc;
-  Coord netlength = 0;
-  std::int64_t vias = 0;
   ScenicStats scenic;
   int preroute_nets = 0;
   std::vector<Coord> net_lengths;  ///< per net, for Table II
-  std::vector<PhaseRss> phase_rss;  ///< RSS at each completed phase boundary
 };
 
 /// Result of an incremental (ECO) reroute: how much was touched and how the
 /// routing differs from the prior result.
-struct EcoReport {
-  FlowOutcome outcome = FlowOutcome::kCompleted;
-  StopReason stop_reason = StopReason::kNone;
-  std::vector<FlowError> errors;
-  double total_seconds = 0;
+struct EcoReport : FlowRunReport {
   int nets_requested = 0;
   int nets_rerouted = 0;   ///< requested nets + dirty-region collision victims
   int collision_nets = 0;  ///< victims picked up by the dirty-region pass
@@ -136,10 +146,6 @@ struct EcoReport {
   int rollbacks = 0;       ///< failed attempts undone by transaction rollback
   Rect dirty_bbox;         ///< hull of everything the reroute touched
   std::vector<int> changed_nets;  ///< delta vs prior: nets whose paths differ
-  DetailedStats detailed;
-  Coord netlength = 0;     ///< of the full result, for prior-vs-new diffing
-  std::int64_t vias = 0;
-  std::vector<PhaseRss> phase_rss;  ///< RSS at each completed phase boundary
 };
 
 /// Incremental (ECO-style) entry point: load `prior` into a fresh routing

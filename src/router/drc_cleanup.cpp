@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cstdint>
 
-#include "src/detailed/transaction.hpp"
-#include "src/obs/log.hpp"
 #include "src/util/timer.hpp"
 
 namespace bonn {
@@ -105,28 +103,8 @@ CleanupStats DrcCleanup::run(const CleanupParams& params) {
     // A cleanup reroute must never convert a routed net into an open —
     // commit even when some violation remains (it was violating before).
     rp.commit_despite_violations = true;
-    if (sched_) {
-      sched_->route_nets(offenders, rp, nullptr, /*rip_first=*/true,
-                         /*rip_depth=*/1);
-    } else {
-      for (int net : offenders) {
-        // Transactional rip + reroute: a failed reroute rolls back to the
-        // old wiring (violating, but connected) instead of leaving an open.
-        // The catch extends the same containment to thrown failures (an
-        // injected search/commit fault, an invariant error): the destructor
-        // rolls the still-open transaction back and cleanup moves on.
-        RoutingTransaction txn(router_->space());
-        try {
-          router_->rip_net_tracked(net);
-          if (router_->route_net(net, rp, nullptr, /*rip_depth=*/1)) {
-            txn.commit();
-          }  // else: destructor rolls back
-        } catch (const std::exception& e) {
-          BONN_LOGF(obs::LogLevel::kWarn, "cleanup reroute of net %d failed: %s",
-                    net, e.what());
-        }
-      }
-    }
+    sched_->route_nets(offenders, rp, nullptr, /*rip_first=*/true,
+                       /*rip_depth=*/1);
     stats.nets_rerouted += static_cast<int>(offenders.size());
   }
   stats.segments_extended = extend_short_segments();

@@ -28,11 +28,12 @@ struct CleanupStats {
 
 class DrcCleanup {
  public:
-  /// With a scheduler, the reroutes run under the §5.1 window discipline
-  /// (parallel across disjoint windows, deterministic at any thread
-  /// count); without one, the legacy sequential loop is used.
-  explicit DrcCleanup(NetRouter& router, DetailedScheduler* sched = nullptr)
-      : router_(&router), sched_(sched) {}
+  /// The reroutes run through the scheduler: under the §5.1 window
+  /// discipline (parallel across disjoint windows, deterministic at any
+  /// thread count), each as a transactional rip + reroute that rolls back
+  /// on failure or on a thrown fault.
+  explicit DrcCleanup(DetailedScheduler& sched)
+      : router_(&sched.router()), sched_(&sched) {}
 
   CleanupStats run(const CleanupParams& params);
 

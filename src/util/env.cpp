@@ -5,8 +5,6 @@
 #include <cmath>
 #include <cstdlib>
 
-#include "src/obs/log.hpp"
-
 namespace bonn {
 
 namespace {
@@ -41,60 +39,35 @@ std::optional<double> parse_double(const std::string& text) {
   return v;
 }
 
-std::optional<long long> env_int(const char* name, long long min,
-                                 long long max) {
+namespace {
+
+/// Shared tail of env_int/env_double: unset → nullopt; a value that fails
+/// `parse` or lies outside [min, max] → nullopt plus an "env.parse" error.
+template <class T, class Parse>
+std::optional<T> env_value(const char* name, T min, T max, const char* what,
+                           Parse parse, std::vector<FlowError>& errors) {
   const char* raw = std::getenv(name);
   if (raw == nullptr) return std::nullopt;
-  const auto v = parse_int(raw);
-  if (!v || *v < min || *v > max) {
-    BONN_LOGF(obs::LogLevel::kWarn, "ignoring %s='%s': expected an integer in [%lld, %lld]",
-              name, raw, min, max);
-    return std::nullopt;
-  }
-  return v;
+  const std::optional<T> v = parse(raw);
+  if (v && *v >= min && *v <= max) return v;
+  append_error(errors, {"env.parse", std::string(name) + "='" + raw +
+                                         "': expected " + what + " in [" +
+                                         std::to_string(min) + ", " +
+                                         std::to_string(max) + "]"});
+  return std::nullopt;
 }
 
-std::optional<double> env_double(const char* name, double min, double max) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr) return std::nullopt;
-  const auto v = parse_double(raw);
-  if (!v || *v < min || *v > max) {
-    BONN_LOGF(obs::LogLevel::kWarn, "ignoring %s='%s': expected a number in [%g, %g]", name,
-              raw, min, max);
-    return std::nullopt;
-  }
-  return v;
-}
+}  // namespace
 
 std::optional<long long> env_int(const char* name, long long min,
                                  long long max,
-                                 std::vector<FlowError>* errors) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr) return std::nullopt;
-  const auto v = env_int(name, min, max);
-  if (!v && errors) {
-    append_error(*errors,
-                 {"env.parse", std::string(name) + "='" + raw +
-                                   "': expected an integer in [" +
-                                   std::to_string(min) + ", " +
-                                   std::to_string(max) + "]"});
-  }
-  return v;
+                                 std::vector<FlowError>& errors) {
+  return env_value<long long>(name, min, max, "an integer", parse_int, errors);
 }
 
 std::optional<double> env_double(const char* name, double min, double max,
-                                 std::vector<FlowError>* errors) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr) return std::nullopt;
-  const auto v = env_double(name, min, max);
-  if (!v && errors) {
-    append_error(*errors,
-                 {"env.parse", std::string(name) + "='" + raw +
-                                   "': expected a number in [" +
-                                   std::to_string(min) + ", " +
-                                   std::to_string(max) + "]"});
-  }
-  return v;
+                                 std::vector<FlowError>& errors) {
+  return env_value<double>(name, min, max, "a number", parse_double, errors);
 }
 
 }  // namespace bonn

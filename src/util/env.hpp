@@ -2,9 +2,9 @@
 //
 // BONN_THREADS / BONN_DEADLINE_S / BONN_MEM_GB and friends used to go
 // through atoi(), which silently turns "banana" into 0 and "4x" into 4.
-// These helpers parse the *whole* value or reject it: on garbage they log a
-// warning naming the variable and return nullopt so the caller falls back to
-// its default.
+// These helpers parse the *whole* value or reject it: garbage becomes a
+// structured "env.parse" error naming the variable, so the flow boundary
+// fails fast instead of running with a default the caller did not ask for.
 #pragma once
 
 #include <optional>
@@ -22,24 +22,15 @@ std::optional<long long> parse_int(const std::string& text);
 /// Parse `text` as a finite double; the full string must be consumed.
 std::optional<double> parse_double(const std::string& text);
 
-/// getenv(name) parsed as an integer in [min, max].  Unset → nullopt
-/// (silent).  Set but malformed or out of range → nullopt plus a logged
-/// warning naming the variable and the offending value.
-std::optional<long long> env_int(const char* name, long long min,
-                                 long long max);
-
-/// getenv(name) parsed as a finite double in [min, max]; same contract.
-std::optional<double> env_double(const char* name, double min, double max);
-
-/// Error-collecting variants for the flow boundary: a set-but-malformed (or
-/// out-of-range) value appends a FlowError with code "env.parse" naming the
-/// variable and the offending text, in addition to the logged warning.  The
-/// flows fail fast on any collected error instead of silently running with
-/// defaults the caller did not ask for.
+/// getenv(name) parsed as an integer in [min, max].  Unset → nullopt, no
+/// error.  Set but malformed or out of range → nullopt plus a FlowError
+/// with code "env.parse" naming the variable and the offending text.
 std::optional<long long> env_int(const char* name, long long min,
                                  long long max,
-                                 std::vector<FlowError>* errors);
+                                 std::vector<FlowError>& errors);
+
+/// getenv(name) parsed as a finite double in [min, max]; same contract.
 std::optional<double> env_double(const char* name, double min, double max,
-                                 std::vector<FlowError>* errors);
+                                 std::vector<FlowError>& errors);
 
 }  // namespace bonn

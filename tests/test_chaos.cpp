@@ -460,38 +460,50 @@ TEST(Chaos, WatchdogStopsHungAttemptsAndQuarantinesRepeatOffenders) {
 }
 
 TEST(ChaosEnv, MalformedEnvOverridesFailTheFlowFast) {
+  // Every entry point × every BONN_* override: the runner parses each
+  // override once, up front, and a malformed value fails the run before any
+  // phase with the override's structured error.
   const Chip chip = generate_chip(small_params());
-  {
-    ScopedEnv env("BONN_THREADS", "banana");
-    const FlowReport r = run_bonnroute_flow(chip, fast_flow());
-    EXPECT_EQ(r.outcome, FlowOutcome::kFailed);
-    EXPECT_TRUE(has_error(r.errors, "env.parse"));
+  const RoutingResult prior(chip.num_nets());
+  struct Case {
+    const char* var;
+    const char* value;
+    const char* code;
+  };
+  const Case cases[] = {
+      {"BONN_THREADS", "banana", "env.parse"},
+      {"BONN_DEADLINE_S", "soon", "env.parse"},
+      {"BONN_MEM_GB", "lots", "env.parse"},
+      {"BONN_WATCHDOG_S", "-5", "env.parse"},
+      {"BONN_FAULTS", "search:net=banana", "env.faults"},
+  };
+  const std::string entries[] = {"bonnroute", "isr", "eco"};
+  int runs = 0;
+  for (const Case& c : cases) {
+    for (const std::string& entry : entries) {
+      SCOPED_TRACE(entry + " with " + c.var + "=" + c.value);
+      DisarmGuard guard;
+      ScopedEnv env(c.var, c.value);
+      FlowOutcome outcome;
+      std::vector<FlowError> errors;
+      if (entry == "eco") {
+        const EcoReport r = reroute_nets(chip, prior, {0}, fast_flow());
+        outcome = r.outcome;
+        errors = r.errors;
+      } else {
+        const FlowReport r = entry == "isr"
+                                 ? run_isr_flow(chip, fast_flow())
+                                 : run_bonnroute_flow(chip, fast_flow());
+        outcome = r.outcome;
+        errors = r.errors;
+      }
+      EXPECT_EQ(outcome, FlowOutcome::kFailed);
+      EXPECT_TRUE(has_error(errors, c.code));
+      EXPECT_FALSE(FaultPoints::armed());  // a bad plan never arms
+      ++runs;
+    }
   }
-  {
-    ScopedEnv env("BONN_WATCHDOG_S", "-5");
-    const FlowReport r = run_bonnroute_flow(chip, fast_flow());
-    EXPECT_EQ(r.outcome, FlowOutcome::kFailed);
-    EXPECT_TRUE(has_error(r.errors, "env.parse"));
-  }
-  {
-    ScopedEnv env("BONN_DEADLINE_S", "soon");
-    EXPECT_EQ(run_isr_flow(chip, fast_flow()).outcome, FlowOutcome::kFailed);
-  }
-  {
-    ScopedEnv env("BONN_MEM_GB", "lots");
-    RoutingResult prior(chip.num_nets());
-    const EcoReport r = reroute_nets(chip, prior, {}, fast_flow());
-    EXPECT_EQ(r.outcome, FlowOutcome::kFailed);
-    EXPECT_TRUE(has_error(r.errors, "env.parse"));
-  }
-  {
-    DisarmGuard guard;
-    ScopedEnv env("BONN_FAULTS", "search:net=banana");
-    const FlowReport r = run_bonnroute_flow(chip, fast_flow());
-    EXPECT_EQ(r.outcome, FlowOutcome::kFailed);
-    EXPECT_TRUE(has_error(r.errors, "env.faults"));
-    EXPECT_FALSE(FaultPoints::armed());  // the bad plan never armed
-  }
+  EXPECT_EQ(runs, 15);
 }
 
 TEST(ChaosEnv, BonnFaultsEnvArmsThePlanEndToEnd) {
@@ -509,14 +521,14 @@ TEST(ChaosEnv, ErrorCollectingOverloadsReportPreciseDiagnostics) {
   std::vector<FlowError> errors;
   {
     ScopedEnv env("BONN_CHAOS_TEST_INT", "12");
-    const auto v = env_int("BONN_CHAOS_TEST_INT", 0, 100, &errors);
+    const auto v = env_int("BONN_CHAOS_TEST_INT", 0, 100, errors);
     ASSERT_TRUE(v.has_value());
     EXPECT_EQ(*v, 12);
     EXPECT_TRUE(errors.empty());
   }
   {
     ScopedEnv env("BONN_CHAOS_TEST_INT", "4x");
-    EXPECT_FALSE(env_int("BONN_CHAOS_TEST_INT", 0, 100, &errors).has_value());
+    EXPECT_FALSE(env_int("BONN_CHAOS_TEST_INT", 0, 100, errors).has_value());
     ASSERT_EQ(errors.size(), 1u);
     EXPECT_EQ(errors[0].code, "env.parse");
     EXPECT_NE(errors[0].message.find("BONN_CHAOS_TEST_INT"),
@@ -526,25 +538,25 @@ TEST(ChaosEnv, ErrorCollectingOverloadsReportPreciseDiagnostics) {
   errors.clear();
   {
     ScopedEnv env("BONN_CHAOS_TEST_INT", "101");  // out of range is an error
-    EXPECT_FALSE(env_int("BONN_CHAOS_TEST_INT", 0, 100, &errors).has_value());
+    EXPECT_FALSE(env_int("BONN_CHAOS_TEST_INT", 0, 100, errors).has_value());
     EXPECT_EQ(errors.size(), 1u);
   }
   errors.clear();
   {
     ScopedEnv env("BONN_CHAOS_TEST_DBL", "0.5e1");
-    const auto v = env_double("BONN_CHAOS_TEST_DBL", 0, 100, &errors);
+    const auto v = env_double("BONN_CHAOS_TEST_DBL", 0, 100, errors);
     ASSERT_TRUE(v.has_value());
     EXPECT_EQ(*v, 5.0);
   }
   {
     ScopedEnv env("BONN_CHAOS_TEST_DBL", "nan");
     EXPECT_FALSE(
-        env_double("BONN_CHAOS_TEST_DBL", 0, 100, &errors).has_value());
+        env_double("BONN_CHAOS_TEST_DBL", 0, 100, errors).has_value());
     EXPECT_EQ(errors.size(), 1u);
   }
   // Unset stays silent: absent overrides are not errors.
   errors.clear();
-  EXPECT_FALSE(env_int("BONN_CHAOS_TEST_UNSET", 0, 100, &errors).has_value());
+  EXPECT_FALSE(env_int("BONN_CHAOS_TEST_UNSET", 0, 100, errors).has_value());
   EXPECT_TRUE(errors.empty());
 }
 

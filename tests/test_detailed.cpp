@@ -10,6 +10,7 @@
 #include "src/db/instance_gen.hpp"
 #include "src/detailed/net_router.hpp"
 #include "src/detailed/ontrack_search.hpp"
+#include "src/detailed/scheduler.hpp"
 #include "src/drc/audit.hpp"
 #include "src/geom/rsmt.hpp"
 #include "src/util/rng.hpp"
@@ -183,9 +184,10 @@ TEST_F(DetailedFixture, RoutingSpacePathRoundTrip) {
 
 TEST_F(DetailedFixture, NetRouterConnectsTinyChip) {
   NetRouter router(*rs_);
+  DetailedScheduler sched(router, 1);
   NetRouteParams params;
   DetailedStats stats;
-  router.route_all(params, &stats);
+  sched.route_all(params, &stats);
   EXPECT_EQ(stats.nets_failed, 0) << "failed nets on the tiny chip";
   const RoutingResult result = rs_->result();
   EXPECT_EQ(count_opens(chip_, result), 0);

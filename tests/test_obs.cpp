@@ -4,11 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <set>
 #include <sstream>
 #include <string>
 
+#include "src/db/instance_gen.hpp"
 #include "src/obs/flight.hpp"
 #include "src/obs/json.hpp"
 #include "src/obs/log.hpp"
@@ -473,6 +475,49 @@ TEST(RunReport, RoundTripsThroughJson) {
   EXPECT_EQ(back->find("flow")->as_string(), "bonnroute");
   EXPECT_EQ(back->find("quality")->find("vias")->as_int(), 789);
   std::remove(path.c_str());
+}
+
+TEST(ObsEnv, FalsyBonnObsKeepsFlowMetricsOff) {
+  BONN_REQUIRE_OBS();
+  // Every flow reads BONN_OBS with the registry's own truthy-flag parser,
+  // so each falsy spelling keeps metrics off through a whole flow — not
+  // only "0".
+  ChipParams cp;
+  cp.tiles_x = 2;
+  cp.tiles_y = 2;
+  cp.tracks_per_tile = 30;
+  cp.num_nets = 10;
+  const Chip chip = generate_chip(cp);
+  FlowParams fp;
+  fp.tiles_x = 2;
+  fp.tiles_y = 2;
+  fp.global.sharing.phases = 2;
+  for (const char* value : {"0", "no", "false", "N"}) {
+    SCOPED_TRACE(value);
+    ::setenv("BONN_OBS", value, 1);
+    obs::set_enabled(false);
+    obs::registry().reset();
+    const FlowReport r = run_bonnroute_flow(chip, fp);
+    EXPECT_NE(r.outcome, FlowOutcome::kFailed);
+    EXPECT_GT(r.detailed.connections_routed, 0);
+    EXPECT_FALSE(obs::enabled());
+    EXPECT_EQ(obs::counter("detailed.connections_routed").value(), 0);
+  }
+  ::unsetenv("BONN_OBS");
+  obs::set_enabled(true);
+
+  // The parser itself: unset reads as the caller's default.
+  EXPECT_TRUE(obs::env_flag("BONN_OBS_TEST_FLAG", true));
+  EXPECT_FALSE(obs::env_flag("BONN_OBS_TEST_FLAG", false));
+  for (const char* on : {"1", "yes", "true", "Y"}) {
+    ::setenv("BONN_OBS_TEST_FLAG", on, 1);
+    EXPECT_TRUE(obs::env_flag("BONN_OBS_TEST_FLAG", false)) << on;
+  }
+  for (const char* off : {"0", "no", "No", "false", "F"}) {
+    ::setenv("BONN_OBS_TEST_FLAG", off, 1);
+    EXPECT_FALSE(obs::env_flag("BONN_OBS_TEST_FLAG", true)) << off;
+  }
+  ::unsetenv("BONN_OBS_TEST_FLAG");
 }
 
 TEST(Log, LevelGate) {

@@ -1,5 +1,5 @@
 // §5.1 parallel routing tests: flow determinism across thread counts, the
-// deterministic sharing mode, the window scheduler, and concurrent
+// chunked sharing solver, the window scheduler, and concurrent
 // RoutingSpace mutation (the TSan target).
 #include <gtest/gtest.h>
 
@@ -92,8 +92,8 @@ TEST(Parallel, SchedulerRouteAllDeterministic) {
 }
 
 TEST(Parallel, DeterministicSharingThreadInvariant) {
-  // The global phase's chunked mode: same fractional → same routes at any
-  // thread count.
+  // The global phase's chunked block solves: same fractional → same routes
+  // at any thread count.
   const Chip chip = generate_chip(window_params());
   std::vector<SteinerSolution> routes[2];
   const int thread_counts[2] = {1, 4};
@@ -103,7 +103,6 @@ TEST(Parallel, DeterministicSharingThreadInvariant) {
     GlobalRouterParams gp;
     gp.sharing.phases = 3;
     gp.sharing.threads = thread_counts[i];
-    gp.sharing.deterministic = true;
     routes[i] = gr.route(gp, nullptr);
   }
   ASSERT_EQ(routes[0].size(), routes[1].size());

@@ -215,37 +215,44 @@ TEST(ThreadPool, ParallelForHonoursBudget) {
 }
 
 TEST(Env, StrictIntParsing) {
+  std::vector<FlowError> errors;
   unsetenv("BONN_TEST_ENV");
-  EXPECT_FALSE(env_int("BONN_TEST_ENV", 0, 100).has_value());
+  EXPECT_FALSE(env_int("BONN_TEST_ENV", 0, 100, errors).has_value());
   setenv("BONN_TEST_ENV", "42", 1);
-  EXPECT_EQ(env_int("BONN_TEST_ENV", 0, 100).value_or(-1), 42);
+  EXPECT_EQ(env_int("BONN_TEST_ENV", 0, 100, errors).value_or(-1), 42);
   setenv("BONN_TEST_ENV", "  7  ", 1);  // surrounding whitespace tolerated
-  EXPECT_EQ(env_int("BONN_TEST_ENV", 0, 100).value_or(-1), 7);
+  EXPECT_EQ(env_int("BONN_TEST_ENV", 0, 100, errors).value_or(-1), 7);
   setenv("BONN_TEST_ENV", "12abc", 1);  // trailing garbage rejected
-  EXPECT_FALSE(env_int("BONN_TEST_ENV", 0, 100).has_value());
+  EXPECT_FALSE(env_int("BONN_TEST_ENV", 0, 100, errors).has_value());
   setenv("BONN_TEST_ENV", "999", 1);  // out of range rejected
-  EXPECT_FALSE(env_int("BONN_TEST_ENV", 0, 100).has_value());
+  EXPECT_FALSE(env_int("BONN_TEST_ENV", 0, 100, errors).has_value());
   setenv("BONN_TEST_ENV", "-1", 1);
-  EXPECT_FALSE(env_int("BONN_TEST_ENV", 0, 100).has_value());
+  EXPECT_FALSE(env_int("BONN_TEST_ENV", 0, 100, errors).has_value());
   setenv("BONN_TEST_ENV", "", 1);  // empty rejected
-  EXPECT_FALSE(env_int("BONN_TEST_ENV", 0, 100).has_value());
+  EXPECT_FALSE(env_int("BONN_TEST_ENV", 0, 100, errors).has_value());
   unsetenv("BONN_TEST_ENV");
+  // Each rejected value is one "env.parse" error; unset and valid are none.
+  EXPECT_EQ(errors.size(), 4u);
+  for (const FlowError& e : errors) EXPECT_EQ(e.code, "env.parse");
 }
 
 TEST(Env, StrictDoubleParsing) {
+  std::vector<FlowError> errors;
   unsetenv("BONN_TEST_ENV");
-  EXPECT_FALSE(env_double("BONN_TEST_ENV", 0.0, 10.0).has_value());
+  EXPECT_FALSE(env_double("BONN_TEST_ENV", 0.0, 10.0, errors).has_value());
   setenv("BONN_TEST_ENV", "1.5", 1);
-  EXPECT_DOUBLE_EQ(env_double("BONN_TEST_ENV", 0.0, 10.0).value_or(-1), 1.5);
+  EXPECT_DOUBLE_EQ(env_double("BONN_TEST_ENV", 0.0, 10.0, errors).value_or(-1), 1.5);
   setenv("BONN_TEST_ENV", "nan", 1);  // non-finite rejected
-  EXPECT_FALSE(env_double("BONN_TEST_ENV", 0.0, 10.0).has_value());
+  EXPECT_FALSE(env_double("BONN_TEST_ENV", 0.0, 10.0, errors).has_value());
   setenv("BONN_TEST_ENV", "inf", 1);
-  EXPECT_FALSE(env_double("BONN_TEST_ENV", 0.0, 10.0).has_value());
+  EXPECT_FALSE(env_double("BONN_TEST_ENV", 0.0, 10.0, errors).has_value());
   setenv("BONN_TEST_ENV", "bogus", 1);
-  EXPECT_FALSE(env_double("BONN_TEST_ENV", 0.0, 10.0).has_value());
+  EXPECT_FALSE(env_double("BONN_TEST_ENV", 0.0, 10.0, errors).has_value());
   setenv("BONN_TEST_ENV", "99", 1);  // out of range rejected
-  EXPECT_FALSE(env_double("BONN_TEST_ENV", 0.0, 10.0).has_value());
+  EXPECT_FALSE(env_double("BONN_TEST_ENV", 0.0, 10.0, errors).has_value());
   unsetenv("BONN_TEST_ENV");
+  EXPECT_EQ(errors.size(), 4u);
+  for (const FlowError& e : errors) EXPECT_EQ(e.code, "env.parse");
 }
 
 TEST(Timer, MeasuresElapsed) {

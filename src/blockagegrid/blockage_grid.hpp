@@ -34,4 +34,55 @@ struct BlockageGrid {
   std::size_t vertex_count() const { return xs.size() * ys.size(); }
 };
 
+/// One layer's arc tests on a blockage grid, each O(1): is a row or column
+/// segment between grid points free, is a grid point free, and where does a
+/// τ-long segment from a grid point end.  "Free" means outside every
+/// obstacle's open interior, the rule of the τ-path search (§3.8).
+///
+/// An axis segment between grid points meets an open interior iff one of
+/// its unit edges (between neighbouring grid coordinates) does: the overlap
+/// is a non-empty open interval, so it holds a point strictly inside some
+/// unit edge.  The table therefore counts blocked unit edges along every
+/// row and column, and a segment is free iff the prefix counts at its two
+/// ends are equal.  Obstacles without an open interior (xlo >= xhi or
+/// ylo >= yhi) block nothing and are dropped.
+///
+/// Built in O(obstacles · (rows + columns) + grid points); holds two ints
+/// and one byte per grid point plus four ints per coordinate.
+class BlockageTable {
+ public:
+  BlockageTable(const BlockageGrid& grid, std::span<const Rect> obstacles,
+                Coord tau);
+
+  /// Segment on row `yi` between columns `x0` and `x1` (either order).
+  bool row_free(int yi, int x0, int x1) const {
+    const int* row = &row_prefix_[static_cast<std::size_t>(yi) * nx_];
+    return row[x0] == row[x1];
+  }
+  /// Segment on column `xi` between rows `y0` and `y1` (either order).
+  bool column_free(int xi, int y0, int y1) const {
+    const int* col = &col_prefix_[static_cast<std::size_t>(xi) * ny_];
+    return col[y0] == col[y1];
+  }
+  bool vertex_free(int xi, int yi) const {
+    return !vertex_blocked_[static_cast<std::size_t>(yi) * nx_ +
+                            static_cast<std::size_t>(xi)];
+  }
+  /// The nearest column (compass 0 = east, 1 = west) or row (2 = north,
+  /// 3 = south) at least τ away from index `i` in that direction, or -1.
+  int jump(int compass, int i) const {
+    return jump_[compass][static_cast<std::size_t>(i)];
+  }
+
+ private:
+  std::size_t nx_ = 0, ny_ = 0;
+  /// [yi * nx + xi]: blocked unit edges on row yi left of column xi.
+  std::vector<int> row_prefix_;
+  /// [xi * ny + yi]: blocked unit edges on column xi below row yi.
+  std::vector<int> col_prefix_;
+  /// [yi * nx + xi]: the grid point lies in some obstacle's open interior.
+  std::vector<char> vertex_blocked_;
+  std::vector<int> jump_[4];
+};
+
 }  // namespace bonn

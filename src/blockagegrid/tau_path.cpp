@@ -1,6 +1,8 @@
 #include "src/blockagegrid/tau_path.hpp"
 
 #include <algorithm>
+#include <climits>
+#include <cstdint>
 #include <limits>
 #include <queue>
 
@@ -12,9 +14,30 @@ namespace {
 
 constexpr Coord kInf = std::numeric_limits<Coord>::max() / 4;
 
-/// Directions a segment can be travelling in; kFresh = no segment yet
-/// (source, or just after a via).
+/// Directions a segment can be travelling in (numbered like
+/// BlockageTable::jump's compass); kFresh = no segment yet (source, or just
+/// after a via).
 enum : int { kEast = 0, kWest = 1, kNorth = 2, kSouth = 3, kFresh = 4 };
+
+/// Dijkstra's heap entries: one 64-bit key, the distance modulo 2^32 in the
+/// high half and the state id in the low half.  All keys in the heap lie
+/// within one arc cost of the last popped distance, so while every arc
+/// costs less than 2^31 the signed difference of two keys is exactly
+/// (Δdist · 2^32 + Δstate) and orders them as the (dist, state) pairs; the
+/// pop sequence is that of a heap of pairs.
+using HeapKey = std::uint64_t;
+constexpr Coord kMaxArcCost = (Coord{1} << 31) - 1;
+
+HeapKey heap_key(Coord dist, int state) {
+  return (HeapKey{static_cast<std::uint32_t>(dist)} << 32) |
+         static_cast<std::uint32_t>(state);
+}
+
+struct LaterKey {
+  bool operator()(HeapKey a, HeapKey b) const {
+    return static_cast<std::int64_t>(a - b) > 0;
+  }
+};
 
 }  // namespace
 
@@ -25,29 +48,13 @@ TauPathSearch::TauPathSearch(const Rect& area, std::vector<TauLayer> layers,
       via_cost_(via_cost),
       nonpref_pct_(nonpref_penalty_pct) {
   BONN_CHECK(!layers_.empty());
-}
-
-bool TauPathSearch::point_free(int layer, const Point& p) const {
-  for (const Rect& o : layers_[static_cast<std::size_t>(layer)].obstacles) {
-    if (o.xlo < p.x && p.x < o.xhi && o.ylo < p.y && p.y < o.yhi) return false;
-  }
-  return true;
-}
-
-bool TauPathSearch::segment_free(int layer, const Point& a,
-                                 const Point& b) const {
-  const Interval xi{std::min(a.x, b.x), std::max(a.x, b.x)};
-  const Interval yi{std::min(a.y, b.y), std::max(a.y, b.y)};
-  for (const Rect& o : layers_[static_cast<std::size_t>(layer)].obstacles) {
-    // The zero-width centreline is blocked iff it passes through the
-    // obstacle's open interior.
-    const bool x_hit = (xi.lo == xi.hi) ? (o.xlo < xi.lo && xi.lo < o.xhi)
-                                        : (o.xlo < xi.hi && xi.lo < o.xhi);
-    const bool y_hit = (yi.lo == yi.hi) ? (o.ylo < yi.lo && yi.lo < o.yhi)
-                                        : (o.ylo < yi.hi && yi.lo < o.yhi);
-    if (x_hit && y_hit) return false;
-  }
-  return true;
+  // Dijkstra needs non-negative arc costs, and the heap key needs every
+  // arc below 2^31: a planar arc costs at most the area's longer side times
+  // the larger direction weight.
+  BONN_CHECK(via_cost_ >= 0 && nonpref_pct_ >= 0);
+  const Coord weight = std::max(100, nonpref_pct_);
+  BONN_CHECK(via_cost_ <= kMaxArcCost &&
+             std::max(area_.width(), area_.height()) <= kMaxArcCost / weight);
 }
 
 void TauPathSearch::run(const PointL& source, std::span<const PointL> targets,
@@ -71,6 +78,11 @@ void TauPathSearch::run(const PointL& source, std::span<const PointL> targets,
   const int ny = static_cast<int>(grid.ys.size());
   const int L = static_cast<int>(layers_.size());
   if (nx == 0 || ny == 0) return;
+  std::vector<BlockageTable> tables;
+  tables.reserve(layers_.size());
+  for (const TauLayer& l : layers_) {
+    tables.emplace_back(grid, l.obstacles, l.tau);
+  }
 
   auto x_index = [&](Coord c) {
     auto it = std::lower_bound(grid.xs.begin(), grid.xs.end(), c);
@@ -91,6 +103,7 @@ void TauPathSearch::run(const PointL& source, std::span<const PointL> targets,
   const std::size_t num_states =
       static_cast<std::size_t>(L) * static_cast<std::size_t>(nx) *
       static_cast<std::size_t>(ny) * 5;
+  BONN_CHECK(num_states <= static_cast<std::size_t>(INT_MAX));
   std::vector<Coord> dist(num_states, kInf);
   std::vector<int> parent(num_states, -1);
 
@@ -101,15 +114,14 @@ void TauPathSearch::run(const PointL& source, std::span<const PointL> targets,
     return pref_move ? 100 : nonpref_pct_;
   };
 
-  using QE = std::pair<Coord, int>;
-  std::priority_queue<QE, std::vector<QE>, std::greater<>> pq;
+  std::priority_queue<HeapKey, std::vector<HeapKey>, LaterKey> pq;
 
   const int sx = x_index(source.x);
   const int sy = y_index(source.y);
   if (sx < 0 || sy < 0) return;
   const int s_state = state_id(source.layer, sx, sy, kFresh);
   dist[static_cast<std::size_t>(s_state)] = 0;
-  pq.push({0, s_state});
+  pq.push(heap_key(0, s_state));
 
   // Target lookup: (layer, xi, yi) -> target index.
   std::vector<int> target_of(static_cast<std::size_t>(L * nx * ny), -1);
@@ -136,22 +148,8 @@ void TauPathSearch::run(const PointL& source, std::span<const PointL> targets,
       dist[static_cast<std::size_t>(to)] =
           dist[static_cast<std::size_t>(from)] + w;
       parent[static_cast<std::size_t>(to)] = from;
-      pq.push({dist[static_cast<std::size_t>(to)], to});
+      pq.push(heap_key(dist[static_cast<std::size_t>(to)], to));
     }
-  };
-
-  // Nearest grid index at distance >= tau_l in +/- direction along an axis.
-  auto jump_index = [&](const std::vector<Coord>& axis, int i, int step,
-                        Coord min_d) {
-    int j = i + step;
-    while (j >= 0 && j < static_cast<int>(axis.size())) {
-      if (abs_diff(axis[static_cast<std::size_t>(j)],
-                   axis[static_cast<std::size_t>(i)]) >= min_d) {
-        return j;
-      }
-      j += step;
-    }
-    return -1;
   };
 
   auto settle_target = [&](int state, int l, int xi, int yi) {
@@ -202,7 +200,7 @@ void TauPathSearch::run(const PointL& source, std::span<const PointL> targets,
   std::vector<char> settled(num_states, 0);
   while (!pq.empty() && found < wanted &&
          out.size() < max_results) {
-    const auto [d_cur, state] = pq.top();
+    const int state = static_cast<int>(static_cast<std::uint32_t>(pq.top()));
     pq.pop();
     if (settled[static_cast<std::size_t>(state)]) continue;
     settled[static_cast<std::size_t>(state)] = 1;
@@ -215,36 +213,33 @@ void TauPathSearch::run(const PointL& source, std::span<const PointL> targets,
                   grid.ys[static_cast<std::size_t>(yi)]};
     settle_target(state, l, xi, yi);
 
-    const Coord tau_l = layers_[static_cast<std::size_t>(l)].tau;
+    const BlockageTable& table = tables[static_cast<std::size_t>(l)];
 
+    // Arc to grid point (nxi, nyi) on this layer, arriving in direction d.
+    auto arc = [&](int nxi, int nyi, int d) {
+      const bool horizontal = d == kEast || d == kWest;
+      if (horizontal ? !table.row_free(yi, xi, nxi)
+                     : !table.column_free(xi, yi, nyi)) {
+        return;
+      }
+      const Point q{grid.xs[static_cast<std::size_t>(nxi)],
+                    grid.ys[static_cast<std::size_t>(nyi)]};
+      relax(state, state_id(l, nxi, nyi, d),
+            l1_dist(p, q) * weight(l, horizontal));
+    };
     // Straight continuation (no bend).
     auto straight = [&](int dxi, int dyi, int d) {
       const int nxi = xi + dxi;
       const int nyi = yi + dyi;
       if (nxi < 0 || nxi >= nx || nyi < 0 || nyi >= ny) return;
-      const Point q{grid.xs[static_cast<std::size_t>(nxi)],
-                    grid.ys[static_cast<std::size_t>(nyi)]};
-      if (!segment_free(l, p, q)) return;
-      relax(state, state_id(l, nxi, nyi, d),
-            l1_dist(p, q) * weight(l, dyi == 0));
+      arc(nxi, nyi, d);
     };
     // Turn / fresh start: jump to the nearest vertex at distance >= τ.
     auto turn = [&](int d) {
-      int j, nxi = xi, nyi = yi;
-      if (d == kEast || d == kWest) {
-        j = jump_index(grid.xs, xi, d == kEast ? 1 : -1, tau_l);
-        if (j < 0) return;
-        nxi = j;
-      } else {
-        j = jump_index(grid.ys, yi, d == kNorth ? 1 : -1, tau_l);
-        if (j < 0) return;
-        nyi = j;
-      }
-      const Point q{grid.xs[static_cast<std::size_t>(nxi)],
-                    grid.ys[static_cast<std::size_t>(nyi)]};
-      if (!segment_free(l, p, q)) return;
-      relax(state, state_id(l, nxi, nyi, d),
-            l1_dist(p, q) * weight(l, d == kEast || d == kWest));
+      const bool horizontal = d == kEast || d == kWest;
+      const int j = table.jump(d, horizontal ? xi : yi);
+      if (j < 0) return;
+      arc(horizontal ? j : xi, horizontal ? yi : j, d);
     };
 
     if (dir == kEast || dir == kWest) {
@@ -265,7 +260,7 @@ void TauPathSearch::run(const PointL& source, std::span<const PointL> targets,
     // Vias: end the segment; continuation is fresh on the other layer.
     for (int nl : {l - 1, l + 1}) {
       if (nl < 0 || nl >= L) continue;
-      if (!point_free(nl, p)) continue;
+      if (!tables[static_cast<std::size_t>(nl)].vertex_free(xi, yi)) continue;
       relax(state, state_id(nl, xi, yi, kFresh), via_cost_);
     }
   }

@@ -8,6 +8,8 @@
 // of the resulting path has length >= τ (Fig. 5's same-net-clean paths).
 // Vias connect adjacent layers; a via ends the current segment, so the
 // continuation starts "fresh" and must again run >= τ before bending.
+// Every arc test is an O(1) lookup in per-layer BlockageTables built once
+// per search.
 #pragma once
 
 #include <optional>
@@ -41,7 +43,9 @@ class TauPathSearch {
   /// `area`: planar search window; `layers`: bottom..top (indices are local
   /// layer ids used in PointL::layer); `via_cost`: penalty per via;
   /// `nonpref_penalty`: multiplier (x100) for running against a layer's
-  /// preferred direction, 100 = neutral.
+  /// preferred direction, 100 = neutral.  Costs must be non-negative and
+  /// every arc must cost less than 2^31: `via_cost` and the area's longer
+  /// side times max(100, `nonpref_penalty_pct`) (checked).
   TauPathSearch(const Rect& area, std::vector<TauLayer> layers,
                 Coord via_cost, int nonpref_penalty_pct = 250);
 
@@ -58,9 +62,6 @@ class TauPathSearch {
  private:
   void run(const PointL& source, std::span<const PointL> targets,
            std::size_t max_results, std::vector<TauPathResult>& out) const;
-
-  bool segment_free(int layer, const Point& a, const Point& b) const;
-  bool point_free(int layer, const Point& p) const;
 
   Rect area_;
   std::vector<TauLayer> layers_;

@@ -56,7 +56,8 @@ struct FlightRecord {
 /// record() is wait-free once the calling thread's ring is registered.
 class Flight {
  public:
-  /// Runtime switch (default: off, unless BONN_FLIGHT is set truthy).
+  /// Runtime switch (default: off, unless BONN_FLIGHT is set to an on
+  /// value, see obs::parse_flag).
   static bool enabled() noexcept {
     return g_enabled.load(std::memory_order_relaxed);
   }

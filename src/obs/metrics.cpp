@@ -1,6 +1,7 @@
 #include "src/obs/metrics.hpp"
 
 #include <algorithm>
+#include <cctype>
 #include <cstdlib>
 #include <map>
 #include <memory>
@@ -8,11 +9,23 @@
 
 namespace bonn::obs {
 
+std::optional<bool> parse_flag(std::string_view text) {
+  std::string lower(text);
+  for (char& c : lower) {
+    c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+  }
+  for (const char* on : {"1", "y", "yes", "t", "true", "on"}) {
+    if (lower == on) return true;
+  }
+  for (const char* off : {"0", "n", "no", "f", "false", "off"}) {
+    if (lower == off) return false;
+  }
+  return std::nullopt;
+}
+
 bool env_flag(const char* name, bool unset) {
   const char* v = std::getenv(name);
-  if (v == nullptr) return unset;
-  return !(v[0] == '0' || v[0] == 'n' || v[0] == 'N' || v[0] == 'f' ||
-           v[0] == 'F');
+  return v == nullptr ? unset : parse_flag(v).value_or(unset);
 }
 
 namespace detail {

@@ -18,6 +18,7 @@
 #include <atomic>
 #include <bit>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -40,12 +41,18 @@ inline constexpr int kShards = 16;
 static_assert((kShards & (kShards - 1)) == 0, "shard mask needs a power of 2");
 }  // namespace detail
 
-/// Truthy environment flag: a value starting with 0/n/N/f/F is off, any
-/// other value ("1", "yes", "true", ...) is on, and an unset variable reads
-/// as `unset`.  The one parser for BONN_OBS and BONN_FLIGHT.
+/// A flag value, whole and case-insensitively: 1/y/yes/t/true/on is true,
+/// 0/n/no/f/false/off is false, anything else is not a flag (nullopt).
+/// The one parser for BONN_OBS and BONN_FLIGHT.
+std::optional<bool> parse_flag(std::string_view text);
+
+/// Environment flag: an unset variable, or one `parse_flag` rejects, reads
+/// as `unset` (the flows also fail a run on a rejected value, see
+/// env_bool in src/util/env.hpp).
 bool env_flag(const char* name, bool unset);
 
-/// Runtime kill switch (default: on, unless BONN_OBS is set falsy).
+/// Runtime kill switch (default: on, unless BONN_OBS is set to an off
+/// value).
 inline bool enabled() noexcept {
   if constexpr (!kCompiledIn) return false;
   return detail::g_enabled.load(std::memory_order_relaxed);

@@ -146,15 +146,18 @@ struct EnvOverrides {
   std::optional<double> watchdog_s;
 };
 
-/// Parse the overrides and arm the fault-injection registry from
-/// BONN_FAULTS (a malformed plan is an "env.faults" error, and the previous
-/// plan stays in force).
+/// Parse the overrides, check the BONN_OBS and BONN_FLIGHT flags (FlowObs
+/// reads them; a value that is not a flag is an "env.parse" error here)
+/// and arm the fault-injection registry from BONN_FAULTS (a malformed plan
+/// is an "env.faults" error, and the previous plan stays in force).
 EnvOverrides read_environment(std::vector<FlowError>& errors) {
   EnvOverrides env;
   env.threads = env_int("BONN_THREADS", 0, 4096, errors);
   env.deadline_s = env_double("BONN_DEADLINE_S", 1e-3, 1e9, errors);
   env.memory_gb = env_double("BONN_MEM_GB", 1e-3, 1e6, errors);
   env.watchdog_s = env_double("BONN_WATCHDOG_S", 0.0, 1e9, errors);
+  env_bool("BONN_OBS", errors);
+  env_bool("BONN_FLIGHT", errors);
   if (auto diag = FaultPoints::arm_from_env()) {
     append_error(errors, {"env.faults", *diag, -1});
   }
@@ -625,10 +628,7 @@ FlowReport bonnroute_impl(const Chip& chip, const FlowParams& params,
       // and must be visible to the §2.5 capacity estimation.  A resume at
       // kStart/kGlobalDone replays this deterministically — the global
       // capacities depend on it.
-      {
-        BONN_TRACE_SPAN("detailed.precompute_access");
-        router.precompute_access(dp);  // dp carries the flow budget
-      }
+      router.precompute_access(dp);  // dp carries the flow budget
       {
         BONN_TRACE_SPAN("router.preroute_local_nets");
         report.preroute_nets =

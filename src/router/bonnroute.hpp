@@ -39,14 +39,16 @@ namespace bonn {
 /// BONN_TRACE / BONN_REPORT environment variables, so examples/ and bench/
 /// binaries can be traced without code changes.
 struct ObsParams {
-  /// Populate the obs metrics registry (a falsy BONN_OBS — 0, no, false —
-  /// turns it off).
+  /// Populate the obs metrics registry (BONN_OBS set to an off value —
+  /// 0, n, no, f, false or off, in any case — turns it off; a value that is
+  /// neither on nor off fails the flow with an "env.parse" error).
   bool metrics = true;
   /// Per-net flight recorder (src/obs/flight.hpp): one record per routing
   /// attempt, queryable via obs::Flight after the flow returns and embedded
-  /// in the run report.  Off by default (the BONN_FLIGHT environment
-  /// variable also enables it); the BONN_FLIGHT_TRACE variable additionally
-  /// writes the records as a standalone Chrome trace.
+  /// in the run report.  Off by default (BONN_FLIGHT set to an on value —
+  /// 1, y, yes, t, true or on — also enables it; other values parse as for
+  /// BONN_OBS); the BONN_FLIGHT_TRACE variable additionally writes the
+  /// records as a standalone Chrome trace.
   bool flight = false;
   std::string trace_path;   ///< Chrome trace-event JSON (empty: BONN_TRACE)
   std::string report_path;  ///< structured run report (empty: BONN_REPORT)

@@ -5,6 +5,8 @@
 #include <cmath>
 #include <cstdlib>
 
+#include "src/obs/metrics.hpp"
+
 namespace bonn {
 
 namespace {
@@ -68,6 +70,16 @@ std::optional<long long> env_int(const char* name, long long min,
 std::optional<double> env_double(const char* name, double min, double max,
                                  std::vector<FlowError>& errors) {
   return env_value<double>(name, min, max, "a number", parse_double, errors);
+}
+
+std::optional<bool> env_bool(const char* name, std::vector<FlowError>& errors) {
+  const char* raw = std::getenv(name);
+  if (raw == nullptr) return std::nullopt;
+  if (const std::optional<bool> v = obs::parse_flag(raw)) return v;
+  append_error(errors, {"env.parse", std::string(name) + "='" + raw +
+                                         "': expected 1/y/yes/t/true/on or "
+                                         "0/n/no/f/false/off"});
+  return std::nullopt;
 }
 
 }  // namespace bonn

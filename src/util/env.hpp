@@ -33,4 +33,8 @@ std::optional<long long> env_int(const char* name, long long min,
 std::optional<double> env_double(const char* name, double min, double max,
                                  std::vector<FlowError>& errors);
 
+/// getenv(name) parsed as a flag (obs::parse_flag: 1/y/yes/t/true/on or
+/// 0/n/no/f/false/off, any case); same contract.
+std::optional<bool> env_bool(const char* name, std::vector<FlowError>& errors);
+
 }  // namespace bonn

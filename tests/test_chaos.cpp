@@ -476,6 +476,8 @@ TEST(ChaosEnv, MalformedEnvOverridesFailTheFlowFast) {
       {"BONN_MEM_GB", "lots", "env.parse"},
       {"BONN_WATCHDOG_S", "-5", "env.parse"},
       {"BONN_FAULTS", "search:net=banana", "env.faults"},
+      {"BONN_OBS", "disable", "env.parse"},
+      {"BONN_FLIGHT", "maybe", "env.parse"},
   };
   const std::string entries[] = {"bonnroute", "isr", "eco"};
   int runs = 0;
@@ -503,7 +505,7 @@ TEST(ChaosEnv, MalformedEnvOverridesFailTheFlowFast) {
       ++runs;
     }
   }
-  EXPECT_EQ(runs, 15);
+  EXPECT_EQ(runs, 21);
 }
 
 TEST(ChaosEnv, BonnFaultsEnvArmsThePlanEndToEnd) {

@@ -492,7 +492,7 @@ TEST(ObsEnv, FalsyBonnObsKeepsFlowMetricsOff) {
   fp.tiles_x = 2;
   fp.tiles_y = 2;
   fp.global.sharing.phases = 2;
-  for (const char* value : {"0", "no", "false", "N"}) {
+  for (const char* value : {"0", "no", "false", "N", "off", "OFF"}) {
     SCOPED_TRACE(value);
     ::setenv("BONN_OBS", value, 1);
     obs::set_enabled(false);
@@ -509,15 +509,54 @@ TEST(ObsEnv, FalsyBonnObsKeepsFlowMetricsOff) {
   // The parser itself: unset reads as the caller's default.
   EXPECT_TRUE(obs::env_flag("BONN_OBS_TEST_FLAG", true));
   EXPECT_FALSE(obs::env_flag("BONN_OBS_TEST_FLAG", false));
-  for (const char* on : {"1", "yes", "true", "Y"}) {
+  for (const char* on : {"1", "yes", "true", "Y", "on", "ON"}) {
     ::setenv("BONN_OBS_TEST_FLAG", on, 1);
     EXPECT_TRUE(obs::env_flag("BONN_OBS_TEST_FLAG", false)) << on;
   }
-  for (const char* off : {"0", "no", "No", "false", "F"}) {
+  for (const char* off : {"0", "no", "No", "false", "F", "off", "Off"}) {
     ::setenv("BONN_OBS_TEST_FLAG", off, 1);
     EXPECT_FALSE(obs::env_flag("BONN_OBS_TEST_FLAG", true)) << off;
   }
+  // A value that is neither keeps the caller's default (the flows fail
+  // the run on it with an env.parse error).
+  for (const char* bad : {"disable", "maybe", ""}) {
+    ::setenv("BONN_OBS_TEST_FLAG", bad, 1);
+    EXPECT_TRUE(obs::env_flag("BONN_OBS_TEST_FLAG", true)) << bad;
+    EXPECT_FALSE(obs::env_flag("BONN_OBS_TEST_FLAG", false)) << bad;
+  }
   ::unsetenv("BONN_OBS_TEST_FLAG");
+}
+
+TEST(Trace, BrFlowOpensOnePrecomputeAccessSpan) {
+  // NetRouter::precompute_access opens its own span; the BR flow's
+  // preroute phase must not wrap it in a second one of the same name.
+  ChipParams cp;
+  cp.tiles_x = 2;
+  cp.tiles_y = 2;
+  cp.tracks_per_tile = 30;
+  cp.num_nets = 10;
+  const Chip chip = generate_chip(cp);
+  FlowParams fp;
+  fp.tiles_x = 2;
+  fp.tiles_y = 2;
+  fp.global.sharing.phases = 2;
+  fp.obs.trace_path = temp_path("bonn_trace_precompute_test.json");
+  const FlowReport r = run_bonnroute_flow(chip, fp);
+  EXPECT_NE(r.outcome, FlowOutcome::kFailed);
+
+  const auto doc = obs::Json::parse(slurp(fp.obs.trace_path));
+  ASSERT_TRUE(doc.has_value());
+  int in_preroute = 0;
+  for (std::size_t i = 0; i < doc->size(); ++i) {
+    const obs::Json& e = doc->at(i);
+    if (e.find("name")->as_string() != "detailed.precompute_access") continue;
+    const obs::Json* args = e.find("args");
+    ASSERT_NE(args, nullptr);
+    ASSERT_NE(args->find("phase"), nullptr);
+    in_preroute += args->find("phase")->as_string() == "preroute";
+  }
+  EXPECT_EQ(in_preroute, 1);
+  std::remove(fp.obs.trace_path.c_str());
 }
 
 TEST(Log, LevelGate) {

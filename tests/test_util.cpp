@@ -255,6 +255,31 @@ TEST(Env, StrictDoubleParsing) {
   for (const FlowError& e : errors) EXPECT_EQ(e.code, "env.parse");
 }
 
+TEST(Env, StrictFlagParsing) {
+  std::vector<FlowError> errors;
+  unsetenv("BONN_TEST_ENV");
+  EXPECT_FALSE(env_bool("BONN_TEST_ENV", errors).has_value());
+  for (const char* on : {"1", "y", "Yes", "t", "TRUE", "on", "On"}) {
+    setenv("BONN_TEST_ENV", on, 1);
+    EXPECT_EQ(env_bool("BONN_TEST_ENV", errors), std::optional<bool>(true))
+        << on;
+  }
+  for (const char* off : {"0", "N", "no", "f", "False", "off", "OFF"}) {
+    setenv("BONN_TEST_ENV", off, 1);
+    EXPECT_EQ(env_bool("BONN_TEST_ENV", errors), std::optional<bool>(false))
+        << off;
+  }
+  EXPECT_TRUE(errors.empty());
+  // Whole values only: a prefix of an on/off word is not enough.
+  for (const char* bad : {"disable", "maybe", "", "nope", "1x", "of"}) {
+    setenv("BONN_TEST_ENV", bad, 1);
+    EXPECT_FALSE(env_bool("BONN_TEST_ENV", errors).has_value()) << bad;
+  }
+  unsetenv("BONN_TEST_ENV");
+  EXPECT_EQ(errors.size(), 6u);
+  for (const FlowError& e : errors) EXPECT_EQ(e.code, "env.parse");
+}
+
 TEST(Timer, MeasuresElapsed) {
   Timer t;
   volatile double x = 0;

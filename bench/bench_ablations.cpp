@@ -125,7 +125,7 @@ int main() {
       }
       NetRouteParams np;
       DetailedStats ds;
-      DetailedScheduler(router, 1).route_all(np, &ds);
+      DetailedScheduler(router, 1).route_all(np, ds);
       const RoutingResult rr = drs.result();
       std::printf("  spreading=%-5s wl %.3f mm, failed %d\n",
                   spreading ? "on" : "off",
@@ -148,7 +148,7 @@ int main() {
       np.layer_corridor = lc;
       DetailedStats ds;
       Timer t;
-      DetailedScheduler(router, 1).route_all(np, &ds);
+      DetailedScheduler(router, 1).route_all(np, ds);
       const RoutingResult rr = drs.result();
       std::printf("  layer_corridor=%-5s wl %.3f mm, vias %lld, time %.1f s, "
                   "failed %d\n",
@@ -166,7 +166,7 @@ int main() {
     np.use_pi_p = pip;
     DetailedStats stats;
     Timer t;
-    DetailedScheduler(router, 1).route_all(np, &stats);
+    DetailedScheduler(router, 1).route_all(np, stats);
     std::printf("  pi_P=%-5s time %7.2f s, pops %10lld, pi_P used %d, "
                 "failed %d\n",
                 pip ? "on" : "off", t.seconds(), (long long)stats.search.pops,

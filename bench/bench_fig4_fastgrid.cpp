@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
   NetRouter router(rs);
   DetailedScheduler sched(router, 1);
   DetailedStats stats;
-  sched.route_all(NetRouteParams{}, &stats);
+  sched.route_all(NetRouteParams{}, stats);
 
   const double hits = static_cast<double>(rs.fast().hits());
   const double misses = static_cast<double>(rs.fast().misses());

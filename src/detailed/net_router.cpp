@@ -1,10 +1,7 @@
 #include "src/detailed/net_router.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <set>
-#include <stdexcept>
-#include <string>
 
 #include "src/geom/rect_union.hpp"
 #include "src/geom/rsmt.hpp"
@@ -152,119 +149,18 @@ std::vector<TrackVertex> path_vertices(const TrackGraph& tg,
 
 }  // namespace
 
-namespace {
-std::atomic<int> g_throw_on_net{-1};
-}  // namespace
-
-void NetRouter::testing_throw_on_net(int net) {
-  g_throw_on_net.store(net, std::memory_order_relaxed);
-}
-
 bool NetRouter::route_net(int net, const NetRouteParams& params,
-                          DetailedStats* stats, int rip_depth) {
-  if (g_throw_on_net.load(std::memory_order_relaxed) == net) {
-    throw std::logic_error("injected failure routing net " +
-                           std::to_string(net));
-  }
-  const bool ladder =
-      params.attempt_deadline_s > 0 || params.attempt_pop_limit > 0;
-  if (ladder) return route_ladder(net, params, stats, rip_depth);
-  // An enclosing transaction (cleanup rip+reroute, the scheduler, ECO) owns
-  // the restore policy; otherwise route under our own transaction so a
-  // failed attempt leaves the routing space exactly as it found it.
-  if (RoutingTransaction::current(rs_) != nullptr) {
-    return connect_components(net, params, stats, rip_depth,
-                              params.search.allowed_ripup);
-  }
-  RoutingTransaction txn(*rs_);
-  const bool ok = connect_components(net, params, stats, rip_depth,
-                                     params.search.allowed_ripup);
-  if (ok) {
-    if (stats) {
-      stats->dirty.merge(txn.dirty());
-      stats->touched_nets.insert(stats->touched_nets.end(),
-                                 txn.touched_nets().begin(),
-                                 txn.touched_nets().end());
-    }
-    txn.commit();
-  } else {
-    txn.rollback();
-    if (stats) ++stats->rollbacks;
-  }
-  return ok;
-}
-
-bool NetRouter::route_ladder(int net, const NetRouteParams& params,
-                             DetailedStats* stats, int rip_depth) {
-  // Bounded retry ladder: each rung runs under its own (possibly nested)
-  // transaction with a fresh per-attempt deadline / pop cap; a limit-induced
-  // failure rolls back and descends to a cheaper rung, a genuine failure
-  // (search space exhausted) exits at once — a weaker rung cannot succeed
-  // where a stronger one legitimately failed.
-  for (int rung = 0; rung < 3; ++rung) {
-    NetRouteParams p = params;
-    p.attempt_deadline_s = 0;  // no ladder recursion
-    p.attempt_pop_limit = 0;
-    if (rung >= 1) {
-      // Reduced rip-up radius: route around blockers instead of cascading.
-      p.max_rip_depth = 0;
-      p.search.allowed_ripup = 0;
-    }
-    if (rung >= 2) {
-      // Cheapest rung: tight corridor, no off-track π_P refinement, and a
-      // quarter of the pop cap.
-      p.corridor_halo = 0;
-      p.use_pi_p = false;
-    }
-    Deadline attempt =
-        params.attempt_deadline_s > 0
-            ? Deadline::after_seconds(params.attempt_deadline_s)
-            : Deadline::never();
-    bool limit = false;
-    p.search.attempt_deadline = &attempt;
-    p.search.limit_hit = &limit;
-    if (params.attempt_pop_limit > 0) {
-      std::int64_t cap = params.attempt_pop_limit;
-      if (rung >= 2) cap = std::max<std::int64_t>(1, cap / 4);
-      p.search.max_pops = std::min(p.search.max_pops, cap);
-    }
-    RoutingTransaction txn(*rs_);
-    const bool ok = connect_components(net, p, stats, rip_depth,
-                                       p.search.allowed_ripup);
-    if (ok) {
-      if (stats) {
-        stats->dirty.merge(txn.dirty());
-        stats->touched_nets.insert(stats->touched_nets.end(),
-                                   txn.touched_nets().begin(),
-                                   txn.touched_nets().end());
-      }
-      txn.commit();
-      return true;
-    }
-    txn.rollback();
-    if (stats) ++stats->rollbacks;
-    // Only descend when the failure was limit-induced (and the flow budget
-    // itself has not tripped — then the scheduler defers, not the ladder).
-    const bool limit_induced = limit || attempt.expired();
-    if (!limit_induced) return false;
-    if (params.budget != nullptr && params.budget->stopped()) return false;
-    if (stats && rung < 2) ++stats->ladder_retries;
-    static obs::Counter& c_ladder = obs::counter("detailed.ladder_retries");
-    if (rung < 2) c_ladder.add();
-  }
-  // Ladder exhausted: even the cheapest rung hit its cap.  Report it so the
-  // scheduler can quarantine the net instead of burning every later wave's
-  // budget retrying a net no configured cap can route.
-  if (params.ladder_exhausted != nullptr) *params.ladder_exhausted = true;
-  return false;  // leave the net open
+                          DetailedStats& stats, int rip_depth) {
+  return connect_components(net, params, stats, rip_depth, /*entry=*/true);
 }
 
 bool NetRouter::connect_components(int net, const NetRouteParams& params,
-                                   DetailedStats* stats, int rip_depth,
-                                   RipupLevel allowed_ripup, bool entry) {
+                                   DetailedStats& stats, int rip_depth,
+                                   bool entry) {
   const Chip& chip = rs_->chip();
   const Net& n = chip.nets[static_cast<std::size_t>(net)];
   const TrackGraph& tg = rs_->tg();
+  const RipupLevel allowed_ripup = params.search.allowed_ripup;
 
   DetailedShared& sh = *shared_;
 
@@ -293,7 +189,7 @@ bool NetRouter::connect_components(int net, const NetRouteParams& params,
       // Recompute missing *and* empty catalogues — an empty catalogue may
       // stem from a transiently congested neighbourhood (§4.3 dynamic
       // regeneration).
-      if (!sh.catalogue_built[p] || sh.catalogues[p].empty()) {
+      if (sh.catalogues[p].empty()) {
         PinAccessParams ap = params.access;
         ap.wiretype = n.wiretype;
         // Wide nets: let the (tapered) access stub climb above the row
@@ -304,7 +200,6 @@ bool NetRouter::connect_components(int net, const NetRouteParams& params,
         }
         sh.catalogues[p] =
             access_.catalogue(chip.pins[p], ap);
-        sh.catalogue_built[p] = 1;
         need_selection = true;
       }
     }
@@ -514,7 +409,7 @@ bool NetRouter::connect_components(int net, const NetRouteParams& params,
           static_cast<double>(max_bound) >
               params.detour_for_pi_p * static_cast<double>(direct)) {
         pi.add_tile_bounds(std::move(bounds));
-        if (stats) ++stats->pi_p_used;
+        ++stats.pi_p_used;
         static obs::Counter& c = obs::counter("detailed.pi_p_used");
         c.add();
       }
@@ -560,7 +455,6 @@ bool NetRouter::connect_components(int net, const NetRouteParams& params,
         SearchParams sp = params.search;
         sp.net = net;
         sp.wiretype = n.wiretype;
-        sp.allowed_ripup = allowed_ripup;
         if (!sh.spread_zones.empty()) sp.spread_zones = &sh.spread_zones;
         if (!banned_local.empty()) sp.banned = &banned_local;
         // Only the first (no-ripup) round is layer-restricted; widening
@@ -574,10 +468,8 @@ bool NetRouter::connect_components(int net, const NetRouteParams& params,
         // strike.
         if (BONN_FAULT_NET("search", net)) throw FaultInjected("search");
         fp = params.vertex_search
-                 ? vsearch_.run(sources, targets, area, pi, sp,
-                                stats ? &stats->search : nullptr)
-                 : search_.run(sources, targets, area, pi, sp,
-                               stats ? &stats->search : nullptr);
+                 ? vsearch_.run(sources, targets, area, pi, sp, &stats.search)
+                 : search_.run(sources, targets, area, pi, sp, &stats.search);
       }  // reservation restored before verify/commit
       if (!fp) break;
 
@@ -657,7 +549,7 @@ bool NetRouter::connect_components(int net, const NetRouteParams& params,
     if (!fp) {
       BONN_LOGF(obs::LogLevel::kDebug, "net %d: search failed (%zu srcs %zu tgts)",
                 net, sources.size(), targets.size());
-      if (stats) ++stats->connections_failed;
+      ++stats.connections_failed;
       static obs::Counter& c = obs::counter("detailed.connections_failed");
       c.add();
       return false;
@@ -677,7 +569,7 @@ bool NetRouter::connect_components(int net, const NetRouteParams& params,
         BONN_LOGF(obs::LogLevel::kDebug,
                   "net %d: blocked and cannot rip (%zu blockers, depth %d)",
                   net, blockers.size(), rip_depth);
-        if (stats) ++stats->connections_failed;
+        ++stats.connections_failed;
         static obs::Counter& c = obs::counter("detailed.connections_failed");
         c.add();
         return false;
@@ -688,7 +580,7 @@ bool NetRouter::connect_components(int net, const NetRouteParams& params,
         if (rippable(b) && b != net) {
           rip_net_tracked(b);
           ripped.insert(b);
-          if (stats) ++stats->ripups;
+          ++stats.ripups;
           c_rip.add();
         }
       }
@@ -706,7 +598,7 @@ bool NetRouter::connect_components(int net, const NetRouteParams& params,
             [shp, pid] { shp->access_committed[static_cast<std::size_t>(pid)] = 0; });
       }
     }
-    if (stats) ++stats->connections_routed;
+    ++stats.connections_routed;
     static obs::Counter& c_ok = obs::counter("detailed.connections_routed");
     c_ok.add();
   }
@@ -719,7 +611,7 @@ bool NetRouter::connect_components(int net, const NetRouteParams& params,
   // wiring and this net's progress.  Ripping a routed net and leaving it
   // open would trade one blocked net for several opens.
   for (int b : ripped) {
-    if (!connect_components(b, params, stats, rip_depth + 1, allowed_ripup,
+    if (!connect_components(b, params, stats, rip_depth + 1,
                             /*entry=*/false)) {
       return false;
     }
@@ -736,22 +628,20 @@ void NetRouter::rip_net_tracked(int net) {
     struct PinState {
       int pid;
       std::vector<AccessPath> catalogue;
-      char built;
       int selected;
       char committed;
     };
     auto saved = std::make_shared<std::vector<PinState>>();
     for (int pid : n.pins) {
       const auto p = static_cast<std::size_t>(pid);
-      saved->push_back({pid, sh.catalogues[p], sh.catalogue_built[p],
-                        sh.selected[p], sh.access_committed[p]});
+      saved->push_back(
+          {pid, sh.catalogues[p], sh.selected[p], sh.access_committed[p]});
     }
     DetailedShared* shp = &sh;
     txn->on_rollback([shp, saved] {
       for (PinState& ps : *saved) {
         const auto p = static_cast<std::size_t>(ps.pid);
         shp->catalogues[p] = std::move(ps.catalogue);
-        shp->catalogue_built[p] = ps.built;
         shp->selected[p] = ps.selected;
         shp->access_committed[p] = ps.committed;
       }
@@ -764,7 +654,6 @@ void NetRouter::rip_net_tracked(int net) {
     // Stale catalogues refer to the pre-rip routing space; regenerate
     // on demand (§4.3's dynamic path generation).
     sh.catalogues[p].clear();
-    sh.catalogue_built[p] = 0;
     sh.selected[p] = -1;
   }
 }
@@ -807,7 +696,9 @@ void NetRouter::precompute_access(const NetRouteParams& params) {
     // in the flow, so a short deadline must be able to stop it mid-way.
     // Skipped clusters only matter to an interrupted run (which defers all
     // its nets anyway); a resume replays the precompute from scratch.
-    if (params.budget != nullptr && params.budget->stopped()) break;
+    if (params.search.budget != nullptr && params.search.budget->stopped()) {
+      break;
+    }
     std::vector<std::vector<AccessPath>> cats;
     std::vector<int> pids;
     for (int pid : cluster) {
@@ -821,7 +712,6 @@ void NetRouter::precompute_access(const NetRouteParams& params) {
         ap.layer_bonus = 600;
       }
       sh.catalogues[p] = access_.catalogue(pin, ap);
-      sh.catalogue_built[p] = 1;
       cats.push_back(sh.catalogues[p]);
       pids.push_back(pid);
     }

@@ -1,5 +1,6 @@
 // Connecting nets (§4.4) — the per-net detailed router.  Lists of nets are
-// routed by the DetailedScheduler (scheduler.hpp), which calls route_net.
+// routed by the DetailedScheduler (scheduler.hpp), which calls route_net
+// inside the transaction of each net attempt.
 //
 // Per net: build pin-access catalogues and a conflict-free primary access
 // selection (§4.3); then repeatedly pick an unconnected component, build the
@@ -49,31 +50,22 @@ struct NetRouteParams {
   /// final verification still sees violations — connectivity first, the
   /// external DRC cleanup deals with the remainder.
   bool commit_despite_violations = false;
-  // --- fault-tolerance knobs: ---
-  /// Flow budget, polled at net granularity by the scheduler and inside the
-  /// search pop loop; nullptr = unlimited.
-  const Budget* budget = nullptr;
-  /// Per-net attempt caps for the bounded retry ladder (full search → no
-  /// rip-up → tight corridor → leave open), so one pathological net cannot
-  /// stall a window.  An attempt that exhausts its wall-clock deadline or
-  /// its search-pop cap rolls back and retries one rung down; genuine
-  /// (non-limit) failures exit the ladder immediately.  0 disables.  The
-  /// pop cap is deterministic; the wall-clock deadline is not — use the pop
-  /// cap where bit-identical results matter.
-  double attempt_deadline_s = 0;
+  // --- fault-tolerance knobs (the flow budget is search.budget): ---
+  /// Per-net search-pop cap for the bounded retry ladder (full search → no
+  /// rip-up → tight corridor at a quarter of the cap → leave open), so one
+  /// pathological net cannot stall a window.  A rung that stops on a limit
+  /// rolls back and retries one rung down; genuine (non-limit) failures
+  /// exit the ladder immediately.  0 disables.  Pops are counted, not
+  /// timed, so the ladder is deterministic.
   std::int64_t attempt_pop_limit = 0;
-  /// Hung-net watchdog: hard per-attempt wall-clock ceiling enforced inside
-  /// the search pop loops (BONN_WATCHDOG_S).  Unlike attempt_deadline_s it
-  /// does not descend the retry ladder — a watchdog stop marks the attempt
-  /// hung, and a net that trips it repeatedly is quarantined by the
-  /// scheduler.  Wall-clock, hence nondeterministic; it never fires in
-  /// default runs (0 = off) and quarantine decisions are the only behaviour
-  /// it may change.
+  /// Hung-net watchdog: hard wall-clock ceiling on a net attempt (restarted
+  /// for the scheduler's rip-up-off retry), enforced inside the search pop
+  /// loops (BONN_WATCHDOG_S).  A watchdog stop marks the attempt hung, and
+  /// a net that trips it repeatedly is quarantined by the scheduler; the
+  /// stop also sets SearchParams::limit_hit, so with a pop cap set it
+  /// descends the retry ladder like any limit stop.  Wall-clock, hence
+  /// nondeterministic; it never fires in default runs (0 = off).
   double watchdog_s = 0;
-  /// Out-parameter (scheduler-owned): set to true when the retry ladder
-  /// exhausted every rung on limit-induced failures — the quarantine
-  /// trigger for "this net cannot be routed within any configured cap".
-  bool* ladder_exhausted = nullptr;
 };
 
 struct DetailedStats {
@@ -112,14 +104,13 @@ struct DetailedShared {
   const GlobalRouter* global = nullptr;
   const std::vector<SteinerSolution>* global_routes = nullptr;
   std::vector<std::pair<Rect, Coord>> spread_zones;
-  std::vector<std::vector<AccessPath>> catalogues;  ///< per pin (lazy)
-  std::vector<char> catalogue_built;                ///< per pin
+  /// Per pin; empty until built (lazily, or again after a rip).
+  std::vector<std::vector<AccessPath>> catalogues;
   std::vector<int> selected;                        ///< per pin, -1 = none
   std::vector<char> access_committed;               ///< per pin
 
   explicit DetailedShared(std::size_t num_pins)
       : catalogues(num_pins),
-        catalogue_built(num_pins, 0),
         selected(num_pins, -1),
         access_committed(num_pins, 0) {}
 };
@@ -159,9 +150,11 @@ class NetRouter {
   /// idempotent.
   void precompute_access(const NetRouteParams& params);
 
-  /// Route a single net; returns true if fully connected.
-  bool route_net(int net, const NetRouteParams& params,
-                 DetailedStats* stats = nullptr, int rip_depth = 0);
+  /// Route a single net inside the caller's RoutingTransaction (the
+  /// DetailedScheduler's net attempt), which commits or rolls back what
+  /// this leaves; returns true if fully connected.
+  bool route_net(int net, const NetRouteParams& params, DetailedStats& stats,
+                 int rip_depth = 0);
 
   /// Same-net postprocessing: minimum-area patches (§4.4, §5.2).
   void postprocess_net(int net);
@@ -186,24 +179,12 @@ class NetRouter {
   /// and assigns the net to a window only if the result fits inside.
   Rect net_reach_core(int net, int halo) const;
 
-  /// Fault injection for the recoverable-error tests: route_net throws
-  /// std::logic_error when asked to route `net` (-1 disarms).  The
-  /// scheduler must unwind that net's transaction and mark the net failed
-  /// instead of killing the process.
-  static void testing_throw_on_net(int net);
-
  private:
   /// `entry` is true for the net route_net was called on; rip-up victims
   /// rerouted recursively get entry = false and must land cleanly (they may
   /// never commit despite violations).
   bool connect_components(int net, const NetRouteParams& params,
-                          DetailedStats* stats, int rip_depth,
-                          RipupLevel allowed_ripup, bool entry = true);
-
-  /// Bounded retry ladder (fault tolerance): route_net delegates here when
-  /// a per-attempt deadline or pop cap is configured.
-  bool route_ladder(int net, const NetRouteParams& params,
-                    DetailedStats* stats, int rip_depth);
+                          DetailedStats& stats, int rip_depth, bool entry);
 
   RoutingSpace* rs_;
   PinAccess access_;

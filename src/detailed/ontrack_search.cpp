@@ -6,7 +6,6 @@
 
 #include "src/obs/metrics.hpp"
 #include "src/util/assert.hpp"
-#include "src/util/faultpoint.hpp"
 #include "src/util/timer.hpp"
 
 namespace bonn {
@@ -516,27 +515,7 @@ struct Engine {
     while (!pq.empty()) {
       const auto [key, lid] = pq.top();
       pq.pop();
-      if (++local_stats.pops > params->max_pops) {
-        if (params->limit_hit != nullptr) *params->limit_hit = true;
-        break;
-      }
-      if ((local_stats.pops & 1023) == 0) {
-        if ((params->budget != nullptr && params->budget->stopped()) ||
-            (params->attempt_deadline != nullptr &&
-             params->attempt_deadline->expired())) {
-          if (params->limit_hit != nullptr) *params->limit_hit = true;
-          break;
-        }
-        // Hung-net watchdog: same cadence, separate flag — the scheduler
-        // distinguishes a hung attempt from an ordinary limit stop.
-        if (params->watchdog != nullptr && params->watchdog->expired()) {
-          if (params->watchdog_hit != nullptr) *params->watchdog_hit = true;
-          if (params->limit_hit != nullptr) *params->limit_hit = true;
-          break;
-        }
-        // Chaos hook: simulate heap exhaustion inside the hottest loop.
-        if (BONN_FAULT_NET("alloc", params->net)) throw std::bad_alloc();
-      }
+      if (search_limit_reached(++local_stats.pops, *params)) break;
       if (!labels[static_cast<std::size_t>(lid)].induced) {
         induce_along(lid);
         induce_jogs(lid);

@@ -16,6 +16,7 @@
 // checking module and are counted as misses (the 97.89 % statistic).
 #pragma once
 
+#include <new>
 #include <optional>
 #include <span>
 #include <unordered_map>
@@ -24,6 +25,7 @@
 #include "src/detailed/routing_space.hpp"
 #include "src/util/assert.hpp"
 #include "src/util/budget.hpp"
+#include "src/util/faultpoint.hpp"
 
 namespace bonn {
 
@@ -62,25 +64,48 @@ struct SearchParams {
   Coord via_cost = 400;          ///< γ: cost per via
   Coord rip_penalty = 3000;      ///< entering an interval that needs ripup
   std::int64_t max_pops = 2'000'000;  ///< search abort bound
-  /// Flow budget, polled every ~1024 pops: a tripped budget aborts the
-  /// search like an exhausted pop bound.  nullptr = unlimited.
+  /// Flow budget, polled every ~1024 pops (and by the scheduler between
+  /// nets): a tripped budget aborts the search like an exhausted pop
+  /// bound.  nullptr = unlimited.
   const Budget* budget = nullptr;
-  /// Per-attempt deadline (the NetRouter retry ladder): checked alongside
-  /// the budget poll.  nullptr = none.
-  const Deadline* attempt_deadline = nullptr;
   /// Hung-net watchdog (chaos harness): a hard per-attempt wall-clock
-  /// ceiling, polled at the same ~1024-pop cadence.  Unlike
-  /// attempt_deadline (which the retry ladder descends on), a watchdog stop
+  /// ceiling, polled at the same ~1024-pop cadence.  A watchdog stop also
   /// flags the attempt as hung so the scheduler can quarantine a net that
   /// trips it repeatedly.  nullptr = no watchdog.
   const Deadline* watchdog = nullptr;
   /// Out-parameter: set to true when the search aborted on a resource limit
-  /// (pop bound, budget or attempt deadline) rather than exhausting the
-  /// graph — the retry ladder only descends on limit-induced failures.
+  /// (pop bound, budget or watchdog) rather than exhausting the graph — the
+  /// retry ladder only descends on limit-induced failures.
   bool* limit_hit = nullptr;
   /// Out-parameter: set to true when the watchdog ceiling expired.
   bool* watchdog_hit = nullptr;
 };
+
+/// The limit poll both search cores run after counting a pop: true when
+/// the search must stop — past the pop bound, or, every 1024 pops, on a
+/// tripped budget or an expired watchdog — with the stop flagged in the
+/// params' out-parameters.  The same 1024-pop cadence is where the `alloc`
+/// chaos fault throws std::bad_alloc.
+inline bool search_limit_reached(std::int64_t pops, const SearchParams& p) {
+  if (pops > p.max_pops) {
+    if (p.limit_hit != nullptr) *p.limit_hit = true;
+    return true;
+  }
+  if ((pops & 1023) != 0) return false;
+  if (p.budget != nullptr && p.budget->stopped()) {
+    if (p.limit_hit != nullptr) *p.limit_hit = true;
+    return true;
+  }
+  // Same cadence, separate flag: the scheduler distinguishes a hung
+  // attempt from an ordinary limit stop.
+  if (p.watchdog != nullptr && p.watchdog->expired()) {
+    if (p.watchdog_hit != nullptr) *p.watchdog_hit = true;
+    if (p.limit_hit != nullptr) *p.limit_hit = true;
+    return true;
+  }
+  if (BONN_FAULT_NET("alloc", p.net)) throw std::bad_alloc();
+  return false;
+}
 
 struct SearchSource {
   TrackVertex v;

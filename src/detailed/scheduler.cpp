@@ -114,27 +114,16 @@ void DetailedScheduler::ensure_net_state(std::size_t num_nets) {
 
 bool DetailedScheduler::attempt_net(NetRouter* r, int net,
                                     const NetRouteParams& params,
-                                    DetailedStats* stats, bool rip_first,
+                                    DetailedStats& stats, bool rip_first,
                                     int rip_depth, int window) {
   // Flight recorder: one record per attempt, built from the deltas of the
-  // stats the attempt writes anyway.  When the caller routes without stats,
-  // a scratch block stands in so the deltas are still observable; the
-  // disabled path costs exactly this one branch.
+  // stats the attempt writes anyway.
   const bool fly = obs::Flight::enabled();
-  DetailedStats scratch;
-  if (fly && stats == nullptr) stats = &scratch;
-  std::int64_t pops0 = 0, pushes0 = 0;
-  int rip0 = 0, roll0 = 0, ladder0 = 0;
-  std::uint64_t t0 = 0;
-  bool recovered_error = false;
-  if (fly) {
-    pops0 = stats->search.pops;
-    pushes0 = stats->search.heap_pushes;
-    rip0 = stats->ripups;
-    roll0 = stats->rollbacks;
-    ladder0 = stats->ladder_retries;
-    t0 = obs::Trace::now_us();
-  }
+  const std::int64_t pops0 = stats.search.pops;
+  const std::int64_t pushes0 = stats.search.heap_pushes;
+  const int rip0 = stats.ripups, roll0 = stats.rollbacks;
+  const int ladder0 = stats.ladder_retries;
+  const std::uint64_t t0 = fly ? obs::Trace::now_us() : 0;
 
   // A rip-up cascade is all-or-nothing (net_router.cpp): if a victim cannot
   // be rerouted cleanly, route_net fails and the transaction rolls back.
@@ -145,81 +134,111 @@ bool DetailedScheduler::attempt_net(NetRouter* r, int net,
   const bool degenerate_retry =
       params.commit_despite_violations && params.search.allowed_ripup != 0;
   const int passes = degenerate_retry ? 2 : 1;
+  // Bounded retry ladder: with a per-net pop cap, each pass climbs down up
+  // to three rungs, each under its own transaction.  A rung that stops on a
+  // limit (pop cap, budget or watchdog) rolls back and descends to a cheaper
+  // one; a genuine failure (search space exhausted) or a recovered error
+  // ends the pass at once — a weaker rung cannot succeed where a stronger
+  // one legitimately failed.
+  const std::int64_t cap = params.attempt_pop_limit;
+  const int rungs = cap > 0 ? 3 : 1;
   bool routed = false;
+  bool recovered_error = false;
   bool watchdog_hit = false;
-  bool ladder_exhausted = false;
+  bool rungs_exhausted = false;
   for (int pass = 0; pass < passes && !routed; ++pass) {
-    NetRouteParams p = params;
-    if (pass == 1) p.search.allowed_ripup = 0;
-    p.ladder_exhausted = &ladder_exhausted;
-    // Hung-net watchdog: a hard wall-clock ceiling on this attempt,
-    // enforced at the search cores' ~1024-pop poll cadence.
-    Deadline wd = p.watchdog_s > 0 ? Deadline::after_seconds(p.watchdog_s)
-                                   : Deadline::never();
-    if (p.watchdog_s > 0) {
-      p.search.watchdog = &wd;
-      p.search.watchdog_hit = &watchdog_hit;
-    }
-    RoutingTransaction txn(*rs_);
-    bool ok = false;
-    try {
-      if (rip_first) r->rip_net_tracked(net);
-      ok = r->route_net(net, p, stats, rip_depth);
-    } catch (const std::exception& e) {
-      // Recoverable error model: an internal invariant failure inside a net
-      // attempt unwinds that net's transaction and marks the net failed —
-      // it must never kill the flow.
-      ok = false;
-      recovered_error = true;
-      static obs::Counter& c_err = obs::counter("detailed.net_attempt_errors");
-      c_err.add();
-      BONN_LOGF(obs::LogLevel::kWarn, "net %d attempt failed: %s", net,
-                e.what());
-      if (stats) append_error(stats->errors, {"net_attempt", e.what(), net});
-    }
-    if (!ok) {
+    // Hung-net watchdog: a hard wall-clock ceiling on this pass, enforced
+    // at the search cores' ~1024-pop poll cadence.
+    Deadline wd = params.watchdog_s > 0
+                      ? Deadline::after_seconds(params.watchdog_s)
+                      : Deadline::never();
+    for (int rung = 0; rung < rungs; ++rung) {
+      NetRouteParams p = params;
+      if (pass == 1) p.search.allowed_ripup = 0;
+      if (rung >= 1) {
+        // Reduced rip-up radius: route around blockers instead of cascading.
+        p.max_rip_depth = 0;
+        p.search.allowed_ripup = 0;
+      }
+      if (rung >= 2) {
+        // Cheapest rung: tight corridor, no off-track π_P refinement, and a
+        // quarter of the pop cap.
+        p.corridor_halo = 0;
+        p.use_pi_p = false;
+      }
+      if (cap > 0) {
+        p.search.max_pops = std::min(
+            p.search.max_pops,
+            rung >= 2 ? std::max<std::int64_t>(1, cap / 4) : cap);
+      }
+      bool limit = false;
+      p.search.limit_hit = &limit;
+      if (params.watchdog_s > 0) {
+        p.search.watchdog = &wd;
+        p.search.watchdog_hit = &watchdog_hit;
+      }
+      RoutingTransaction txn(*rs_);
+      bool error = false;
+      try {
+        if (rip_first) r->rip_net_tracked(net);
+        routed = r->route_net(net, p, stats, rip_depth);
+        // Commit inside the recovery boundary too: a commit-time failure (an
+        // injected txn_commit fault, or a real one) leaves the transaction
+        // open, so the rollback below restores the pre-attempt wiring.
+        if (routed) txn.commit();
+      } catch (const std::exception& e) {
+        // Recoverable error model: an internal invariant failure inside a
+        // net attempt unwinds that net's transaction, marks the net failed
+        // and counts a quarantine strike — it must never kill the flow.
+        routed = false;
+        error = recovered_error = true;
+        static obs::Counter& c_err =
+            obs::counter("detailed.net_attempt_errors");
+        c_err.add();
+        BONN_LOGF(obs::LogLevel::kWarn, "net %d attempt failed: %s", net,
+                  e.what());
+        append_error(stats.errors, {"net_attempt", e.what(), net});
+      }
+      if (routed) {
+        // A net this transaction ripped may have been left open (or
+        // rerouted differently) — recheck it next round.  The routed net
+        // itself is settled until some later transaction touches it.
+        for (int t : txn.touched_nets()) {
+          maybe_open_[static_cast<std::size_t>(t)] = 1;
+        }
+        maybe_open_[static_cast<std::size_t>(net)] = 0;
+        stats.dirty.merge(txn.dirty());
+        stats.touched_nets.insert(stats.touched_nets.end(),
+                                  txn.touched_nets().begin(),
+                                  txn.touched_nets().end());
+        break;
+      }
       // Attempt-boundary watchdog fallback: a small search may fail without
       // ever reaching the in-loop poll; an expired ceiling on a failed
       // attempt still counts as a hang.
-      if (p.watchdog_s > 0 && wd.expired()) watchdog_hit = true;
+      if (params.watchdog_s > 0 && wd.expired()) watchdog_hit = true;
       // Restore-on-failure: the rip (if any) and all partial progress are
       // undone, so a failed cleanup/ECO reroute never converts a routed net
       // into an open.
       txn.rollback();
-      if (stats) ++stats->rollbacks;
-      continue;
+      ++stats.rollbacks;
+      // Descend only on a limit stop, and not once the flow budget itself
+      // has tripped — then the scheduler defers instead.
+      const Budget* budget = params.search.budget;
+      if (rungs == 1 || error || !limit ||
+          (budget != nullptr && budget->stopped())) {
+        break;
+      }
+      if (rung + 1 < rungs) {
+        ++stats.ladder_retries;
+        static obs::Counter& c_ladder = obs::counter("detailed.ladder_retries");
+        c_ladder.add();
+      } else {
+        // Even the cheapest rung hit its cap: no configured cap routes this
+        // net — the quarantine trigger below.
+        rungs_exhausted = true;
+      }
     }
-    // A net this transaction ripped may have been left open (or rerouted
-    // differently) — recheck it next round.  The routed net itself is
-    // settled until some later transaction touches it.
-    // Commit inside the recovery boundary too: a commit-time failure (an
-    // injected txn_commit fault, or a real one) leaves the transaction open,
-    // so rolling back restores the pre-attempt wiring and the failure counts
-    // a quarantine strike instead of killing the flow.
-    try {
-      txn.commit();
-    } catch (const std::exception& e) {
-      recovered_error = true;
-      static obs::Counter& c_err = obs::counter("detailed.net_attempt_errors");
-      c_err.add();
-      BONN_LOGF(obs::LogLevel::kWarn, "net %d commit failed: %s", net,
-                e.what());
-      if (stats) append_error(stats->errors, {"net_attempt", e.what(), net});
-      txn.rollback();
-      if (stats) ++stats->rollbacks;
-      continue;
-    }
-    for (int t : txn.touched_nets()) {
-      maybe_open_[static_cast<std::size_t>(t)] = 1;
-    }
-    maybe_open_[static_cast<std::size_t>(net)] = 0;
-    if (stats) {
-      stats->dirty.merge(txn.dirty());
-      stats->touched_nets.insert(stats->touched_nets.end(),
-                                 txn.touched_nets().begin(),
-                                 txn.touched_nets().end());
-    }
-    routed = true;
   }
 
   // Strike accounting + quarantine decision.  Per-net elements are written
@@ -228,14 +247,14 @@ bool DetailedScheduler::attempt_net(NetRouter* r, int net,
   const std::size_t nidx = static_cast<std::size_t>(net);
   if (watchdog_hit) {
     ++watchdog_strikes_[nidx];
-    if (stats) ++stats->watchdog_stops;
+    ++stats.watchdog_stops;
     static obs::Counter& c_wd = obs::counter("detailed.watchdog_stops");
     c_wd.add();
   }
   if (recovered_error) ++fault_strikes_[nidx];
   const char* quarantine_cause = nullptr;
   if (!routed && quarantined_[nidx] == 0) {
-    if (ladder_exhausted) {
+    if (rungs_exhausted) {
       // Every rung of the retry ladder failed on a limit: no configured cap
       // routes this net, so stop spending waves on it immediately.
       quarantine_cause = "ladder";
@@ -246,7 +265,7 @@ bool DetailedScheduler::attempt_net(NetRouter* r, int net,
     }
     if (quarantine_cause != nullptr) {
       quarantined_[nidx] = 1;
-      if (stats) stats->quarantined.push_back({net, quarantine_cause});
+      stats.quarantined.push_back({net, quarantine_cause});
       static obs::Counter& c_q = obs::counter("detailed.nets_quarantined");
       c_q.add();
       BONN_LOGF(obs::LogLevel::kWarn,
@@ -261,13 +280,14 @@ bool DetailedScheduler::attempt_net(NetRouter* r, int net,
     rec.window = window;
     rec.phase = obs::current_phase();
     rec.mode = params.vertex_search ? "vertex" : "ontrack";
-    rec.pops = stats->search.pops - pops0;
-    rec.pushes = stats->search.heap_pushes - pushes0;
-    rec.ripups = stats->ripups - rip0;
-    rec.rollbacks = stats->rollbacks - roll0;
-    rec.ladder_rungs = stats->ladder_retries - ladder0;
+    rec.pops = stats.search.pops - pops0;
+    rec.pushes = stats.search.heap_pushes - pushes0;
+    rec.ripups = stats.ripups - rip0;
+    rec.rollbacks = stats.rollbacks - roll0;
+    rec.ladder_rungs = stats.ladder_retries - ladder0;
     rec.rip_first = rip_first;
-    rec.budget_stopped = params.budget != nullptr && params.budget->stopped();
+    rec.budget_stopped = params.search.budget != nullptr &&
+                         params.search.budget->stopped();
     rec.watchdog_stopped = watchdog_hit;
     rec.quarantine = quarantine_cause != nullptr ? quarantine_cause : "";
     rec.outcome = routed ? 'R' : (recovered_error ? 'E' : 'F');
@@ -279,17 +299,15 @@ bool DetailedScheduler::attempt_net(NetRouter* r, int net,
 }
 
 int DetailedScheduler::route_nets(const std::vector<int>& nets,
-                                  const NetRouteParams& base_params,
-                                  DetailedStats* stats, bool rip_first,
+                                  const NetRouteParams& params,
+                                  DetailedStats& stats, bool rip_first,
                                   int rip_depth) {
   if (nets.empty()) return 0;
-  NetRouteParams params = base_params;
   // The flow budget is polled at net granularity here and inside the search
   // pop loop; a deferred net counts as neither routed nor failed.
-  params.search.budget = params.budget;
-  const Budget* budget = params.budget;
+  const Budget* budget = params.search.budget;
   auto defer = [&](std::size_t remaining) {
-    if (stats) stats->nets_deferred += static_cast<int>(remaining);
+    stats.nets_deferred += static_cast<int>(remaining);
     static obs::Counter& c_defer = obs::counter("detailed.nets_deferred");
     c_defer.add(static_cast<std::int64_t>(remaining));
   };
@@ -410,7 +428,7 @@ int DetailedScheduler::route_nets(const std::vector<int>& nets,
           maybe_open_[static_cast<std::size_t>(net)] = 0;
           continue;
         }
-        if (!attempt_net(r, net, wp, &wt.local, rip_first, rip_depth,
+        if (!attempt_net(r, net, wp, wt.local, rip_first, rip_depth,
                          window_id[i])) {
           // A net quarantined by this very attempt is done — no serial
           // retry.
@@ -440,7 +458,7 @@ int DetailedScheduler::route_nets(const std::vector<int>& nets,
   std::size_t window_failures = 0;
   for (WindowTask& wt : tasks) {
     if (!wt.ran) defer(wt.nets.size());  // budget stopped before this task
-    if (stats) merge_stats(*stats, wt.local);
+    merge_stats(stats, wt.local);
     for (int net : wt.failed) {
       failed_in_window[static_cast<std::size_t>(net)] = 1;
       ++window_failures;
@@ -476,7 +494,7 @@ int DetailedScheduler::route_nets(const std::vector<int>& nets,
 }
 
 void DetailedScheduler::route_all(const NetRouteParams& params,
-                                  DetailedStats* stats) {
+                                  DetailedStats& stats) {
   BONN_TRACE_SPAN("detailed.route_all");
   Timer timer;
   static obs::Gauge& g_threads = obs::gauge("detailed.threads");
@@ -490,7 +508,9 @@ void DetailedScheduler::route_all(const NetRouteParams& params,
   int failed = 0;
   for (int round = 0; round < params.rounds; ++round) {
     BONN_TRACE_SPAN("detailed.round");
-    if (params.budget != nullptr && params.budget->stopped()) break;
+    if (params.search.budget != nullptr && params.search.budget->stopped()) {
+      break;
+    }
     NetRouteParams rp = params;
     rp.search.allowed_ripup =
         round == 0 ? 0 : (round == 1 ? kStandard : kCritical);
@@ -523,10 +543,8 @@ void DetailedScheduler::route_all(const NetRouteParams& params,
   for (int net : order) {
     if (!owner_->net_connected(net)) ++failed;
   }
-  if (stats) {
-    stats->nets_failed = failed;
-    stats->seconds = timer.seconds();
-  }
+  stats.nets_failed = failed;
+  stats.seconds = timer.seconds();
 }
 
 }  // namespace bonn

@@ -40,14 +40,14 @@ class DetailedScheduler {
   /// precompute, then escalation rounds (no rip-up, standard, critical;
   /// wider corridors each round; the last commits despite violations) over
   /// the critical-first deterministic order, window-parallel per round.
-  void route_all(const NetRouteParams& params, DetailedStats* stats = nullptr);
+  void route_all(const NetRouteParams& params, DetailedStats& stats);
 
   /// One scheduling pass over `nets` in the given order: window phase, then
   /// a serial phase for cross-window nets and window failures.  With
   /// `rip_first`, each net is ripped just before its reroute (DRC cleanup
   /// semantics).  Returns the number of nets whose final attempt failed.
   int route_nets(const std::vector<int>& nets, const NetRouteParams& params,
-                 DetailedStats* stats = nullptr, bool rip_first = false,
+                 DetailedStats& stats, bool rip_first = false,
                  int rip_depth = 0);
 
  private:
@@ -56,15 +56,18 @@ class DetailedScheduler {
   NetRouter* checkout_worker();
   void return_worker(NetRouter* r);
 
-  /// Route one net under its own RoutingTransaction (ripping it first when
-  /// `rip_first`): commit on success, roll back — restoring the pre-attempt
-  /// wiring — on failure.  Updates the maybe-open cache from the
-  /// transaction's touched-net set.  Every routing attempt in the stack —
-  /// flow, ECO, cleanup — funnels through here, so this is also where the
-  /// flight recorder captures one record per attempt; `window` is the
-  /// scheduler window the attempt ran in (-1 = serial / cross-window).
+  /// One net attempt, the only code that opens a net's transactions: each
+  /// try (ripping the net first when `rip_first`) runs under its own
+  /// RoutingTransaction, committed on success and rolled back — restoring
+  /// the pre-attempt wiring — on failure.  It decides the retries (the
+  /// rip-up-off retry of violating-commit rounds, the retry ladder's
+  /// rungs), contains thrown errors, records everything in `stats`, keeps
+  /// the maybe-open cache and decides quarantine.  Every routing attempt in
+  /// the stack — flow, ECO, cleanup — funnels through here, so this is also
+  /// where the flight recorder captures one record per attempt; `window` is
+  /// the scheduler window the attempt ran in (-1 = serial / cross-window).
   bool attempt_net(NetRouter* r, int net, const NetRouteParams& params,
-                   DetailedStats* stats, bool rip_first, int rip_depth,
+                   DetailedStats& stats, bool rip_first, int rip_depth,
                    int window = -1);
 
   NetRouter* owner_;

@@ -7,7 +7,6 @@
 
 #include "src/obs/metrics.hpp"
 #include "src/util/assert.hpp"
-#include "src/util/faultpoint.hpp"
 
 namespace bonn {
 
@@ -146,27 +145,7 @@ std::optional<FoundPath> VertexSearch::run(
     auto& ns = nodes[key];
     if (ns.settled) continue;
     ns.settled = true;
-    if (++local.pops > params.max_pops) {
-      if (params.limit_hit != nullptr) *params.limit_hit = true;
-      break;
-    }
-    if ((local.pops & 1023) == 0) {
-      if ((params.budget != nullptr && params.budget->stopped()) ||
-          (params.attempt_deadline != nullptr &&
-           params.attempt_deadline->expired())) {
-        if (params.limit_hit != nullptr) *params.limit_hit = true;
-        break;
-      }
-      // Hung-net watchdog: same cadence, separate flag — the scheduler
-      // distinguishes a hung attempt from an ordinary limit stop.
-      if (params.watchdog != nullptr && params.watchdog->expired()) {
-        if (params.watchdog_hit != nullptr) *params.watchdog_hit = true;
-        if (params.limit_hit != nullptr) *params.limit_hit = true;
-        break;
-      }
-      // Chaos hook: simulate heap exhaustion inside the hottest loop.
-      if (BONN_FAULT_NET("alloc", params.net)) throw std::bad_alloc();
-    }
+    if (search_limit_reached(++local.pops, params)) break;
     ++local.station_expansions;
     const TrackVertex v = verts[key];
 

@@ -242,7 +242,7 @@ Report run_flow(const char* flow_name, const char* span_name, const Chip& chip,
   }
   FlowContext ctx{chip, params, total, budget, std::max(threads, 1),
               params.detailed};
-  ctx.detailed.budget = &budget;
+  ctx.detailed.search.budget = &budget;
   if (env.watchdog_s) ctx.detailed.watchdog_s = *env.watchdog_s;
 
   try {
@@ -304,14 +304,24 @@ void finalize_report(const FlowContext& ctx, RoutingSpace& rs,
 }
 
 /// The DRC cleanup phase of BR and ISR: local reroutes through the flow's
-/// scheduler with the flow's detailed parameters `dp`.
+/// scheduler with the flow's detailed parameters `dp`.  Of the reroutes'
+/// stats only the recovered errors and the quarantined nets join
+/// report.detailed, so the report names them while its counters keep
+/// describing detailed routing alone.
 void cleanup_phase(DetailedScheduler& sched, const FlowParams& params,
                    const NetRouteParams& dp, FlowReport& report) {
   BONN_TRACE_SPAN("router.drc_cleanup");
   CleanupParams cp = params.cleanup;
   cp.reroute = dp;
-  report.cleanup = DrcCleanup(sched).run(cp);
+  DetailedStats reroutes;
+  report.cleanup = DrcCleanup(sched).run(cp, reroutes);
   report.cleanup_seconds = report.cleanup.seconds;
+  for (FlowError& e : reroutes.errors) {
+    append_error(report.detailed.errors, std::move(e));
+  }
+  report.detailed.quarantined.insert(report.detailed.quarantined.end(),
+                                     reroutes.quarantined.begin(),
+                                     reroutes.quarantined.end());
 }
 
 /// Pre-route nets whose pins all fall into one tile (§2.5 first refinement):
@@ -320,7 +330,7 @@ void cleanup_phase(DetailedScheduler& sched, const FlowParams& params,
 /// the scheduler (window-parallel, deterministic, net-id order).
 int preroute_local_nets(const Chip& chip, DetailedScheduler& sched,
                         const NetRouteParams& params, int nx, int ny,
-                        DetailedStats* stats) {
+                        DetailedStats& stats) {
   const Coord tw = (chip.die.width() + nx - 1) / nx;
   const Coord th = (chip.die.height() + ny - 1) / ny;
   std::vector<int> local_nets;
@@ -404,10 +414,6 @@ std::vector<FlowError> validate_flow_params(const FlowParams& p) {
               std::isfinite(d.detour_for_pi_p) && d.detour_for_pi_p > 0,
               "params.detour_for_pi_p",
               "detour_for_pi_p must be finite, > 0");
-  check_range(errors,
-              std::isfinite(d.attempt_deadline_s) && d.attempt_deadline_s >= 0,
-              "params.attempt_deadline",
-              "per-net attempt deadline must be finite, >= 0 (0 = off)");
   check_range(errors, std::isfinite(d.watchdog_s) && d.watchdog_s >= 0,
               "params.watchdog",
               "hung-net watchdog ceiling must be finite, >= 0 (0 = off)");
@@ -470,7 +476,6 @@ std::uint64_t flow_params_digest(const FlowParams& p) {
   h = fnv1a_i64(h, p.detailed.use_pi_p ? 1 : 0);
   h = fnv1a_i64(h, p.detailed.layer_corridor ? 1 : 0);
   h = fnv1a_i64(h, p.detailed.commit_despite_violations ? 1 : 0);
-  h = fnv1a_double(h, p.detailed.attempt_deadline_s);
   h = fnv1a_i64(h, p.detailed.attempt_pop_limit);
   h = fnv1a_i64(h, p.cleanup.max_reroutes);
   h = fnv1a_i64(h, p.cleanup.passes);
@@ -632,7 +637,7 @@ FlowReport bonnroute_impl(const Chip& chip, const FlowParams& params,
       {
         BONN_TRACE_SPAN("router.preroute_local_nets");
         report.preroute_nets =
-            preroute_local_nets(chip, sched, dp, nx, ny, &report.detailed);
+            preroute_local_nets(chip, sched, dp, nx, ny, report.detailed);
       }
       if (budget.stopped()) return interrupt(FlowPhase::kStart, nullptr);
       phase_boundary(report.phase_rss, "preroute", "global");
@@ -692,7 +697,7 @@ FlowReport bonnroute_impl(const Chip& chip, const FlowParams& params,
       router.set_spread_zones(std::vector<std::pair<Rect, Coord>>(zones));
       phase_boundary(report.phase_rss, "global", "detailed");
 
-      sched.route_all(dp, &report.detailed);
+      sched.route_all(dp, report.detailed);
       if (budget.stopped()) return interrupt(FlowPhase::kGlobalDone, nullptr);
       phase_boundary(report.phase_rss, "detailed", "cleanup");
     }
@@ -800,7 +805,7 @@ EcoReport reroute_nets(const Chip& chip, const RoutingResult& prior,
       {
         BONN_TRACE_SPAN("eco.reroute_pass");
         report.nets_failed +=
-            sched.route_nets(wave, rp, &stats, /*rip_first=*/true,
+            sched.route_nets(wave, rp, stats, /*rip_first=*/true,
                              /*rip_depth=*/0);
         report.nets_rerouted += static_cast<int>(wave.size());
       }
@@ -930,7 +935,7 @@ FlowReport run_isr_flow(const Chip& chip, const FlowParams& params,
     dp.use_pi_p = false;
     dp.layer_corridor = false;  // "purely gridless fashion"
     router.set_global(&gr, &routes);
-    sched.route_all(dp, &report.detailed);
+    sched.route_all(dp, report.detailed);
     if (ctx.budget.stopped()) return interrupted();
     phase_boundary(report.phase_rss, "detailed", "cleanup");
     report.br_seconds = ctx.total.seconds();

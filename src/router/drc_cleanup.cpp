@@ -79,7 +79,8 @@ int DrcCleanup::extend_short_segments() {
   return extended;
 }
 
-CleanupStats DrcCleanup::run(const CleanupParams& params) {
+CleanupStats DrcCleanup::run(const CleanupParams& params,
+                              DetailedStats& reroutes) {
   Timer timer;
   CleanupStats stats;
   RoutingSpace& rs = router_->space();
@@ -103,7 +104,7 @@ CleanupStats DrcCleanup::run(const CleanupParams& params) {
     // A cleanup reroute must never convert a routed net into an open —
     // commit even when some violation remains (it was violating before).
     rp.commit_despite_violations = true;
-    sched_->route_nets(offenders, rp, nullptr, /*rip_first=*/true,
+    sched_->route_nets(offenders, rp, reroutes, /*rip_first=*/true,
                        /*rip_depth=*/1);
     stats.nets_rerouted += static_cast<int>(offenders.size());
   }

@@ -35,7 +35,9 @@ class DrcCleanup {
   explicit DrcCleanup(DetailedScheduler& sched)
       : router_(&sched.router()), sched_(&sched) {}
 
-  CleanupStats run(const CleanupParams& params);
+  /// The reroutes' net attempts record into `reroutes` (their recovered
+  /// errors and quarantined nets included).
+  CleanupStats run(const CleanupParams& params, DetailedStats& reroutes);
 
  private:
   /// Nets that currently have a diff-net violation on one of their shapes.

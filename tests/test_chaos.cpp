@@ -374,6 +374,91 @@ TEST(Chaos, AlwaysFailingNetIsQuarantinedAndFlowDegrades) {
   EXPECT_EQ(detailed->find("nets_quarantined")->as_int(), 1);
 }
 
+// A net that only DRC cleanup's reroutes fail on is quarantined there, and
+// the report says so: its recovered errors and its quarantine reach the
+// flow's errors and downgrade the outcome, while report.detailed's counters
+// still describe detailed routing alone.  The chip is one where cleanup
+// reroutes the victim in both of its passes; the fault is armed to skip
+// every search hit on the victim before cleanup.
+TEST(Chaos, FaultsInCleanupReachTheReport) {
+  DisarmGuard guard;
+  ChipParams cp;
+  cp.tiles_x = 3;
+  cp.tiles_y = 3;
+  cp.tracks_per_tile = 30;
+  cp.num_nets = 30;
+  cp.seed = 3;
+  const Chip chip = generate_chip(cp);
+  const int victim = 21;
+  FlowParams fp;
+  fp.global.sharing.phases = 4;
+  fp.obs.metrics = false;
+
+  // Count the victim's search hits up to the end of detailed routing with a
+  // plan that never fires; the same run is the fault-free baseline.
+  FlowParams no_cleanup = fp;
+  no_cleanup.run_cleanup = false;
+  FaultPlan count;
+  count.specs.push_back({"search", std::int64_t{1} << 40, 1.0, victim});
+  FaultPoints::arm(count);
+  const FlowReport base = run_bonnroute_flow(chip, no_cleanup);
+  const std::int64_t hits = FaultPoints::stats().at(0).hits;
+  FaultPoints::disarm();
+  ASSERT_EQ(base.outcome, FlowOutcome::kCompleted);
+
+  FaultPlan plan;
+  plan.specs.push_back({"search", hits + 1, 1.0, victim});
+  FaultPoints::arm(plan);
+  fp.obs.flight = true;
+  RoutingResult out;
+  const FlowReport r = run_bonnroute_flow(chip, fp, &out);
+  FaultPoints::disarm();
+
+  // Both cleanup attempts on the victim failed on the fault.
+  const obs::Json doc = obs::Flight::explain(victim);
+  const obs::Json* attempts = doc.find("attempts");
+  ASSERT_NE(attempts, nullptr);
+  int cleanup_errors = 0;
+  for (std::size_t i = 0; i < attempts->size(); ++i) {
+    const obs::Json& a = attempts->at(i);
+    const bool in_cleanup = a.find("phase")->as_string() == "cleanup";
+    const bool error = a.find("outcome")->as_string() == "E";
+    EXPECT_EQ(in_cleanup, error) << "attempt " << i;
+    if (in_cleanup && error) ++cleanup_errors;
+  }
+  ASSERT_EQ(cleanup_errors, 2);
+  EXPECT_EQ(doc.find("summary")->find("quarantined")->as_string(), "fault");
+
+  EXPECT_EQ(r.outcome, FlowOutcome::kDegraded);
+  ASSERT_EQ(r.detailed.quarantined.size(), 1u);
+  EXPECT_EQ(r.detailed.quarantined[0].net, victim);
+  EXPECT_EQ(r.detailed.quarantined[0].cause, "fault");
+  int attempt_errors = 0;
+  bool quarantine_error = false;
+  for (const FlowError& e : r.errors) {
+    if (e.code == "net_attempt" && e.net == victim) ++attempt_errors;
+    if (e.code == "net.quarantined" && e.net == victim) {
+      quarantine_error = true;
+    }
+  }
+  EXPECT_EQ(attempt_errors, 2);
+  EXPECT_TRUE(quarantine_error);
+  const obs::Json report = flow_report_json("bonnroute", r);
+  EXPECT_EQ(report.find("outcome")->as_string(), "completed_degraded");
+  EXPECT_EQ(report.find("detailed")->find("nets_quarantined")->as_int(), 1);
+
+  // Cleanup's counters stay out of report.detailed.
+  EXPECT_EQ(r.detailed.connections_routed, base.detailed.connections_routed);
+  EXPECT_EQ(r.detailed.connections_failed, base.detailed.connections_failed);
+  EXPECT_EQ(r.detailed.nets_failed, base.detailed.nets_failed);
+  EXPECT_EQ(r.detailed.rollbacks, base.detailed.rollbacks);
+  EXPECT_EQ(r.detailed.search.pops, base.detailed.search.pops);
+
+  // The failed reroutes rolled back: the victim keeps its wiring.
+  EXPECT_FALSE(out.net_paths[static_cast<std::size_t>(victim)].empty());
+  EXPECT_TRUE(validate_result(chip, out).empty());
+}
+
 // Degradation is deterministic: the same fault plan quarantines the same
 // net and produces bit-identical wiring at any thread count.
 TEST(Chaos, QuarantineIsDeterministicAcrossThreads) {

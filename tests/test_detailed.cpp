@@ -187,7 +187,7 @@ TEST_F(DetailedFixture, NetRouterConnectsTinyChip) {
   DetailedScheduler sched(router, 1);
   NetRouteParams params;
   DetailedStats stats;
-  sched.route_all(params, &stats);
+  sched.route_all(params, stats);
   EXPECT_EQ(stats.nets_failed, 0) << "failed nets on the tiny chip";
   const RoutingResult result = rs_->result();
   EXPECT_EQ(count_opens(chip_, result), 0);
@@ -257,8 +257,8 @@ TEST_F(DetailedFixture, VerticesToPathViaStickConsistency) {
   // Route one net, check committed sticks: wires axis-parallel on correct
   // layers, vias between adjacent layers.
   NetRouter router(*rs_);
-  NetRouteParams params;
-  router.route_net(0, params);
+  DetailedStats stats;
+  DetailedScheduler(router, 1).route_nets({0}, NetRouteParams{}, stats);
   for (const RoutedPath& p : rs_->paths(0)) {
     for (const WireStick& w : p.wires) {
       EXPECT_TRUE(w.a.x == w.b.x || w.a.y == w.b.y);

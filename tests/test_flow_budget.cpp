@@ -12,8 +12,8 @@
 
 #include "src/db/chip.hpp"
 #include "src/db/instance_gen.hpp"
-#include "src/detailed/net_router.hpp"
 #include "src/router/bonnroute.hpp"
+#include "src/util/faultpoint.hpp"
 #include "src/util/timer.hpp"
 
 namespace bonn {
@@ -243,10 +243,12 @@ TEST(FlowBudget, RetryLadderIsDeterministicAcrossThreads) {
 TEST(FlowBudget, InjectedNetFaultIsRecoveredNotFatal) {
   const Chip chip = generate_chip(small_params());
   const int victim = 7;
-  NetRouter::testing_throw_on_net(victim);
+  FaultPlan plan;
+  plan.specs.push_back({"search", 1, 1.0, victim});
+  FaultPoints::arm(plan);
   RoutingResult out;
   const FlowReport r = run_bonnroute_flow(chip, fast_flow(), &out);
-  NetRouter::testing_throw_on_net(-1);
+  FaultPoints::disarm();
   // The fault is contained to the victim net: after repeated recovered
   // faults the net is quarantined, the flow completes degraded (a usable
   // partial result, honestly labelled), the error is reported per net, and

@@ -231,8 +231,12 @@ TEST(PerShapeRipup, NeighbourInsertDoesNotChangeReportedLevel) {
   rs.grid().query(global_of_wiring(0), standard.rect.hull(critical.rect),
                   [&](const GridShape& gs) {
                     if (gs.kind != ShapeKind::kWire) return;
-                    if (gs.net == 2) EXPECT_EQ(gs.ripup, kStandard);
-                    if (gs.net == 3) EXPECT_EQ(gs.ripup, kCritical);
+                    if (gs.net == 2) {
+                      EXPECT_EQ(gs.ripup, kStandard);
+                    }
+                    if (gs.net == 3) {
+                      EXPECT_EQ(gs.ripup, kCritical);
+                    }
                   });
 
   // And the fast grid's incremental view must equal a full recomputation.

@@ -78,7 +78,7 @@ TEST(Parallel, SchedulerRouteAllDeterministic) {
     NetRouter router(rs);
     DetailedScheduler sched(router, thread_counts[i]);
     DetailedStats stats;
-    sched.route_all(params, &stats);
+    sched.route_all(params, stats);
     const RoutingResult result = rs.result();
     lengths[i] = result.total_wirelength();
     vias[i] = result.via_count();

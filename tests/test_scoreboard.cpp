@@ -8,12 +8,12 @@
 #include <vector>
 
 #include "src/db/instance_gen.hpp"
-#include "src/detailed/net_router.hpp"
 #include "src/obs/flight.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/router/bonnroute.hpp"
 #include "src/router/run_report.hpp"
 #include "src/router/scoreboard.hpp"
+#include "src/util/faultpoint.hpp"
 
 namespace bonn {
 namespace {
@@ -331,11 +331,13 @@ TEST(Flight, ExplainsDeliberatelyFailedNet) {
   if (!obs::kCompiledIn) GTEST_SKIP() << "built with -DBONN_OBS-OFF";
   const Chip chip = small_chip();
   const int victim = 4;
-  NetRouter::testing_throw_on_net(victim);
+  FaultPlan plan;
+  plan.specs.push_back({"search", 1, 1.0, victim});
+  FaultPoints::arm(plan);
   FlowParams fp = small_flow();
   fp.obs.flight = true;
   const FlowReport report = run_bonnroute_flow(chip, fp, nullptr);
-  NetRouter::testing_throw_on_net(-1);
+  FaultPoints::disarm();
   // Repeated recovered faults quarantine the victim and the flow finishes
   // degraded — contained either way, never fatal.
   ASSERT_TRUE(report.outcome == FlowOutcome::kCompleted ||

@@ -14,17 +14,23 @@
 
 namespace bonn {
 
-RoutingSpace::RoutingSpace(const Chip& chip) : chip_(&chip) {
+RoutingSpace::RoutingSpace(const Chip& chip)
+    : RoutingSpace(chip, RoutingResult(chip.num_nets())) {}
+
+RoutingSpace::RoutingSpace(const Chip& chip, const RoutingResult& prior)
+    : chip_(&chip) {
+  BONN_CHECK(prior.net_paths.size() == chip.nets.size());
   const auto fixed = chip.fixed_shapes();
   tg_ = std::make_unique<TrackGraph>(chip.tech, chip.die, fixed);
   grid_ = std::make_unique<ShapeGrid>(chip.tech, chip.die);
   for (const Shape& s : fixed) grid_->insert(s, kFixed);
   checker_ = std::make_unique<DrcChecker>(chip.tech, *grid_);
   fast_ = std::make_unique<FastGrid>(chip.tech, *tg_, *checker_);
-  fast_->rebuild();
   net_paths_.resize(chip.nets.size());
   net_path_ids_.resize(chip.nets.size());
   next_path_id_.resize(chip.nets.size(), 0);
+  insert_result(prior);
+  fast_->rebuild();
 }
 
 RipupLevel RoutingSpace::net_level(int net) const {
@@ -142,6 +148,11 @@ void RoutingSpace::load_result(const RoutingResult& prior) {
     net_path_ids_[n].clear();
     next_path_id_[n] = 0;
   }
+  insert_result(prior);
+  fast_->rebuild();
+}
+
+void RoutingSpace::insert_result(const RoutingResult& prior) {
   for (std::size_t n = 0; n < prior.net_paths.size(); ++n) {
     const RipupLevel level = net_level(static_cast<int>(n));
     for (const RoutedPath& p : prior.net_paths[n]) {
@@ -152,7 +163,6 @@ void RoutingSpace::load_result(const RoutingResult& prior) {
       net_path_ids_[n].push_back(next_path_id_[n]++);
     }
   }
-  fast_->rebuild();
 }
 
 // ---------------------------------------------------------------------------

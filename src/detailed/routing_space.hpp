@@ -47,6 +47,10 @@ class RoutingTransaction;
 class RoutingSpace {
  public:
   explicit RoutingSpace(const Chip& chip);
+  /// The space of `chip` with `prior`'s wiring already recorded (ECO and
+  /// resume entry): the same state as RoutingSpace(chip) followed by
+  /// load_result(prior), built with one fast-grid rebuild instead of two.
+  RoutingSpace(const Chip& chip, const RoutingResult& prior);
 
   /// Arm/disarm the internal locks (shape grid rows, config table,
   /// fast-grid tracks).  Toggle only while no other thread uses the space.
@@ -163,6 +167,10 @@ class RoutingSpace {
 
  private:
   friend class RoutingTransaction;
+
+  /// Record `prior`'s paths (ids from each net's counter) and insert their
+  /// shapes into the shape grid; the caller rebuilds the fast grid.
+  void insert_result(const RoutingResult& prior);
 
   const Chip* chip_;
   std::unique_ptr<TrackGraph> tg_;

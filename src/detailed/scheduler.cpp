@@ -223,10 +223,13 @@ bool DetailedScheduler::attempt_net(NetRouter* r, int net,
       txn.rollback();
       ++stats.rollbacks;
       // Descend only on a limit stop, and not once the flow budget itself
-      // has tripped — then the scheduler defers instead.
+      // has tripped — then the scheduler defers instead — nor once this
+      // pass's watchdog ceiling has expired: every lower rung shares it and
+      // would stop at its first poll, so the stop counts as a hang, not as
+      // an exhausted ladder.
       const Budget* budget = params.search.budget;
       if (rungs == 1 || error || !limit ||
-          (budget != nullptr && budget->stopped())) {
+          (budget != nullptr && budget->stopped()) || wd.expired()) {
         break;
       }
       if (rung + 1 < rungs) {

@@ -212,17 +212,27 @@ std::vector<ForbiddenRun> DrcChecker::forbidden_runs(
   const Coord m_along_len = m_along.length();
 
   Coord window_margin;
+  // A point placement's along-axis run-length is bounded by the neighbour's
+  // length (below), which the query window may clip.  Where that bound can
+  // reach a run-length threshold of the layer's rules, widen the window by
+  // the model's length on both sides: a clipped neighbour that can act on
+  // `bound` then keeps at least that length, so min(model, neighbour) — and
+  // the answer — no longer depends on the window.
+  Coord along_ext = 0;
   const bool on_wiring = is_wiring(global_layer);
   if (on_wiring) {
-    window_margin = tech_->max_spacing(wiring_of_global(global_layer));
+    const int w = wiring_of_global(global_layer);
+    window_margin = tech_->max_spacing(w);
+    if (!swept && m_along_len >= tech_->min_prl_threshold(w))
+      along_ext = m_along_len;
   } else {
     const ViaLayer& vl = tech_->via_layers[static_cast<std::size_t>(
         via_of_global(global_layer))];
     window_margin = std::max(vl.cut_spacing, vl.interlayer_spacing);
   }
 
-  const Interval w_along{bound.lo + m_along.lo - window_margin,
-                         bound.hi + m_along.hi + window_margin};
+  const Interval w_along{bound.lo + m_along.lo - window_margin - along_ext,
+                         bound.hi + m_along.hi + window_margin + along_ext};
   const Interval w_cross = m_cross.expanded(window_margin);
   const Rect window = line_horizontal
                           ? Rect{w_along.lo, w_cross.lo, w_along.hi, w_cross.hi}

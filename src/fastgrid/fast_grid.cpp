@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <map>
+#include <tuple>
+#include <vector>
 
 #include "src/obs/metrics.hpp"
 #include "src/util/assert.hpp"
@@ -14,42 +16,6 @@ constexpr std::uint64_t kFieldMask = 0x7;
 
 // Test-only fault switch, see FastGrid::testing_inject_staleness_bug.
 std::atomic<bool> g_inject_staleness{false};
-
-inline void set_wiring_field(std::uint64_t& word, int wt, int f,
-                             std::uint8_t val) {
-  // Internal callers derive val from min(ripup, 6) or kFree, so anything
-  // above the 3-bit range is a logic error; with_wiring_field saturates.
-  BONN_ASSERT(val <= FastGrid::kFree);
-  word = FastGrid::with_wiring_field(word, wt, FastGrid::Field(f), val);
-}
-
-inline void min_wiring_field(std::uint64_t& word, int wt, int f,
-                             std::uint8_t val) {
-  if (g_inject_staleness.load(std::memory_order_relaxed) && val >= kStandard)
-    return;
-  const std::uint8_t cur = FastGrid::wiring_field(word, wt, FastGrid::Field(f));
-  if (val < cur) set_wiring_field(word, wt, f, val);
-}
-
-inline void set_gap(std::uint64_t& word, int wt, bool v) {
-  const int off = wt * 13 + 12;
-  word = (word & ~(std::uint64_t(1) << off)) |
-         (static_cast<std::uint64_t>(v ? 1 : 0) << off);
-}
-
-inline void set_via_field(std::uint64_t& word, int wt, int f,
-                          std::uint8_t val) {
-  BONN_ASSERT(val <= FastGrid::kFree);
-  word = FastGrid::with_via_field(word, wt, FastGrid::ViaField(f), val);
-}
-
-inline void min_via_field(std::uint64_t& word, int wt, int f,
-                          std::uint8_t val) {
-  if (g_inject_staleness.load(std::memory_order_relaxed) && val >= kStandard)
-    return;
-  const std::uint8_t cur = FastGrid::via_field(word, wt, FastGrid::ViaField(f));
-  if (val < cur) set_via_field(word, wt, f, val);
-}
 
 }  // namespace
 
@@ -79,8 +45,10 @@ FastGrid::FastGrid(const Tech& tech, const TrackGraph& tg,
   free_word_wiring_ = 0;
   free_word_via_ = 0;
   for (int k = 0; k < cached_; ++k) {
-    for (int f = 0; f < 4; ++f) set_wiring_field(free_word_wiring_, k, f, kFree);
-    for (int f = 0; f < 2; ++f) set_via_field(free_word_via_, k, f, kFree);
+    for (int f = 0; f < 4; ++f)
+      free_word_wiring_ = with_wiring_field(free_word_wiring_, k, Field(f), kFree);
+    for (int f = 0; f < 2; ++f)
+      free_word_via_ = with_via_field(free_word_via_, k, ViaField(f), kFree);
   }
   const int L = tg.num_layers();
   wiring_.resize(static_cast<std::size_t>(L));
@@ -121,159 +89,178 @@ bool FastGrid::field_model(int w, int wt, Field f, WireModel& out,
   return false;
 }
 
-void FastGrid::recompute_wiring(int w, const Rect& region) {
-  const int g = global_of_wiring(w);
+struct FastGrid::Job {
+  int off = 0;            ///< bit offset of the job's 3-bit field in the word
+  std::uint64_t gap = 0;  ///< the gap bit the job owns (wire field only)
+  bool swept = false;     ///< the checker models a swept wire (wire field)
+  WireModel model;
+  ShapeKind kind = ShapeKind::kWire;
+  Interval qbound;  ///< forbidden_runs bound along each track
+  int slo = 0, shi = -1;  ///< station window the job resets and reapplies
+  int tlo = 0, thi = -1;  ///< tracks the job covers
+};
+
+bool FastGrid::place_job(int w, const Rect& region, Coord spacing,
+                         bool past_edge, Job& j) const {
   const bool horiz = tech_->pref(w) == Dir::kHorizontal;
   const Interval reg_along = horiz ? region.x_iv() : region.y_iv();
   const Interval reg_cross = horiz ? region.y_iv() : region.x_iv();
-  const Coord S = tech_->max_spacing(w);
-  const auto& tracks = tg_->tracks(w);
   const auto& stations = tg_->stations(w);
   const int num_st = static_cast<int>(stations.size());
-  if (tracks.empty() || num_st == 0) return;
+  const Interval m_along = horiz ? j.model.expand.x_iv() : j.model.expand.y_iv();
+  const Interval m_cross = horiz ? j.model.expand.y_iv() : j.model.expand.x_iv();
+  const Coord reach_cross = std::max(-m_cross.lo, m_cross.hi) + spacing;
+  const Coord reach_along = std::max(-m_along.lo, m_along.hi) + spacing;
+  Interval bound = reg_along.expanded(reach_along);
+  auto [slo, shi] = tg_->station_range(w, bound);
+  // The range may be empty (shi < slo) when the reach window lies strictly
+  // between two stations or beyond the track ends; shapes there still
+  // decide the gap bits of the surrounding edges, so widen first and only
+  // then test — bailing out on the unwidened range left those gap bits
+  // stale.  Widening by two stations also recomputes boundary bits exactly
+  // like a full rebuild (incremental == rebuild).
+  slo = std::max(slo - 2, 0);
+  shi = std::min(shi + 2, num_st - 1);
+  if (slo > shi) return false;
+  bound = bound.hull({stations[static_cast<std::size_t>(slo)],
+                      stations[static_cast<std::size_t>(shi)]});
+  if (past_edge) {
+    // Classify runs one station past the window's right edge too: a run
+    // strictly between stations shi and shi+1 owns the gap bit *at* shi,
+    // which the reset clears.
+    const int edge_hi = std::min(shi + 1, num_st - 1);
+    bound = bound.hull({stations[static_cast<std::size_t>(edge_hi)],
+                        stations[static_cast<std::size_t>(edge_hi)]});
+  }
+  j.qbound = bound;
+  j.slo = slo;
+  j.shi = shi;
+  std::tie(j.tlo, j.thi) =
+      tg_->track_range(w, reg_cross.expanded(reach_cross));
+  return true;
+}
 
+void FastGrid::recompute_wiring(int w, const Rect& region) {
+  if (tg_->tracks(w).empty() || tg_->stations(w).empty()) return;
+  std::vector<Job> jobs;
   for (int k = 0; k < cached_; ++k) {
     for (int f = 0; f < 4; ++f) {
-      WireModel model;
-      ShapeKind kind;
-      if (!field_model(w, k, Field(f), model, kind)) continue;
-      const Interval m_along = horiz ? model.expand.x_iv() : model.expand.y_iv();
-      const Interval m_cross = horiz ? model.expand.y_iv() : model.expand.x_iv();
-      const Coord reach_cross =
-          std::max(-m_cross.lo, m_cross.hi) + S;
-      const Coord reach_along = std::max(-m_along.lo, m_along.hi) + S;
-      Interval bound = reg_along.expanded(reach_along);
-      auto [slo, shi] = tg_->station_range(w, bound);
-      // The range may be empty (shi < slo) when the reach window lies
-      // strictly between two stations or beyond the track ends; shapes
-      // there still decide the gap bits of the surrounding edges, so widen
-      // first and only then test — bailing out on the unwidened range left
-      // those gap bits stale.  Widening by two stations also recomputes
-      // boundary bits exactly like a full rebuild (incremental == rebuild).
-      slo = std::max(slo - 2, 0);
-      shi = std::min(shi + 2, num_st - 1);
-      if (slo > shi) continue;
-      bound = bound.hull({stations[static_cast<std::size_t>(slo)],
-                          stations[static_cast<std::size_t>(shi)]});
-      // Classify runs one station past the window's right edge too: a run
-      // strictly between stations shi and shi+1 owns the gap bit *at* shi,
-      // which the reset below clears.
-      const int edge_hi = std::min(shi + 1, num_st - 1);
-      const Interval qbound =
-          bound.hull({stations[static_cast<std::size_t>(edge_hi)],
-                      stations[static_cast<std::size_t>(edge_hi)]});
-      const auto [tlo, thi] =
-          tg_->track_range(w, reg_cross.expanded(reach_cross));
-      for (int ti = tlo; ti <= thi; ++ti) {
-        auto& map = wiring_[static_cast<std::size_t>(w)]
-                           [static_cast<std::size_t>(ti)];
-        // Exclusive over the whole reset + reapply so readers of this track
-        // never observe the reset-but-not-reapplied intermediate state.
-        auto lk = write_guard(shard(/*via=*/false, w, ti));
-        // Reset this field (and, for the wire field, the gap bit) to free.
-        map.update(slo, shi + 1, [&](std::uint64_t& word) {
-          set_wiring_field(word, k, f, kFree);
-          if (f == kWireF) set_gap(word, k, false);
-        });
-        const auto runs = checker_->forbidden_runs(
-            g, model, horiz, tracks[static_cast<std::size_t>(ti)], qbound,
-            /*net=*/-3, kind, /*swept=*/f == kWireF);
-        for (const ForbiddenRun& run : runs) {
-          const std::uint8_t level =
-              static_cast<std::uint8_t>(std::min<int>(run.ripup, 6));
-          const auto [alo, ahi] = tg_->station_range(w, run.along);
-          if (alo > ahi) {
-            // Forbidden run strictly inside an edge: endpoint legality does
-            // not imply edge legality — set the gap bit on the left vertex.
-            // Guards: the left vertex must exist (alo == 0 would underflow
-            // to station -1), lie inside the reset window [slo, shi], and
-            // the flagged edge must exist (alo <= num_st - 1).  Runs the
-            // qbound extension clipped on the left (alo <= slo) belong to
-            // edges outside the window and must not be misclassified here.
-            const int left = alo - 1;
-            if (f == kWireF && left >= slo && left <= shi &&
-                alo <= num_st - 1) {
-              map.update(left, alo, [&](std::uint64_t& word) {
-                set_gap(word, k, true);
-              });
-            }
-            continue;
-          }
-          map.update(std::max(alo, slo), std::min(ahi, shi) + 1,
-                     [&](std::uint64_t& word) {
-                       min_wiring_field(word, k, f, level);
-                     });
-        }
-      }
+      Job j;
+      if (!field_model(w, k, Field(f), j.model, j.kind)) continue;
+      j.off = k * 13 + f * 3;
+      j.swept = f == kWireF;
+      if (j.swept) j.gap = std::uint64_t(1) << (k * 13 + 12);
+      if (place_job(w, region, tech_->max_spacing(w), /*past_edge=*/true, j))
+        jobs.push_back(j);
     }
   }
+  recompute_tracks(/*via=*/false, w, jobs);
 }
 
 void FastGrid::recompute_via(int v, const Rect& region) {
-  const int g = global_of_via(v);
   const int w = v;  // lattice of the lower wiring layer
-  const bool horiz = tech_->pref(w) == Dir::kHorizontal;
-  const Interval reg_along = horiz ? region.x_iv() : region.y_iv();
-  const Interval reg_cross = horiz ? region.y_iv() : region.x_iv();
+  if (tg_->tracks(w).empty()) return;
   const ViaLayer& vl = tech_->via_layers[static_cast<std::size_t>(v)];
-  const Coord S = std::max(vl.cut_spacing, vl.interlayer_spacing);
-  const auto& tracks = tg_->tracks(w);
-  if (tracks.empty()) return;
-
+  const Coord spacing = std::max(vl.cut_spacing, vl.interlayer_spacing);
+  std::vector<Job> jobs;
   for (int k = 0; k < cached_; ++k) {
     for (int f = 0; f < 2; ++f) {
-      WireModel model;
-      ShapeKind kind;
+      Job j;
       if (f == kCutF) {
-        model = tech_->wt(k).vias[static_cast<std::size_t>(v)].cut;
-        kind = ShapeKind::kViaCut;
+        j.model = tech_->wt(k).vias[static_cast<std::size_t>(v)].cut;
+        j.kind = ShapeKind::kViaCut;
       } else {
         if (v == 0) continue;
         const ViaModel& below = tech_->wt(k).vias[static_cast<std::size_t>(v) - 1];
         if (!below.has_projection) continue;
-        model = below.projection;
-        kind = ShapeKind::kViaProj;
+        j.model = below.projection;
+        j.kind = ShapeKind::kViaProj;
       }
-      const Interval m_along = horiz ? model.expand.x_iv() : model.expand.y_iv();
-      const Interval m_cross = horiz ? model.expand.y_iv() : model.expand.x_iv();
-      const Coord reach_cross = std::max(-m_cross.lo, m_cross.hi) + S;
-      const Coord reach_along = std::max(-m_along.lo, m_along.hi) + S;
-      Interval bound = reg_along.expanded(reach_along);
-      auto [slo, shi] = tg_->station_range(w, bound);
-      const auto& stations = tg_->stations(w);
-      const int num_st = static_cast<int>(stations.size());
-      // Widen before testing for emptiness, exactly like recompute_wiring:
-      // a reach window strictly between two stations must still refresh the
-      // neighbouring stations it clamps to.
-      slo = std::max(slo - 2, 0);
-      shi = std::min(shi + 2, num_st - 1);
-      if (slo > shi) continue;
-      bound = bound.hull({stations[static_cast<std::size_t>(slo)],
-                          stations[static_cast<std::size_t>(shi)]});
-      const auto [tlo, thi] =
-          tg_->track_range(w, reg_cross.expanded(reach_cross));
-      for (int ti = tlo; ti <= thi; ++ti) {
-        auto& map =
-            via_[static_cast<std::size_t>(v)][static_cast<std::size_t>(ti)];
-        auto lk = write_guard(shard(/*via=*/true, v, ti));
-        map.update(slo, shi + 1, [&](std::uint64_t& word) {
-          set_via_field(word, k, f, kFree);
-        });
-        const auto runs = checker_->forbidden_runs(
-            g, model, horiz, tracks[static_cast<std::size_t>(ti)], bound,
-            /*net=*/-3, kind, /*swept=*/false);
-        for (const ForbiddenRun& run : runs) {
-          const std::uint8_t level =
-              static_cast<std::uint8_t>(std::min<int>(run.ripup, 6));
-          const auto [alo, ahi] = tg_->station_range(w, run.along);
-          if (alo > ahi) continue;
-          map.update(std::max(alo, slo), std::min(ahi, shi) + 1,
-                     [&](std::uint64_t& word) {
-                       min_via_field(word, k, f, level);
-                     });
+      j.off = k * 6 + f * 3;
+      if (place_job(w, region, spacing, /*past_edge=*/false, j))
+        jobs.push_back(j);
+    }
+  }
+  recompute_tracks(/*via=*/true, v, jobs);
+}
+
+void FastGrid::recompute_tracks(bool via, int layer,
+                                std::span<const Job> jobs) {
+  if (jobs.empty()) return;
+  const int w = layer;  // a via layer lives on its lower wiring layer's lattice
+  const int g = via ? global_of_via(layer) : global_of_wiring(layer);
+  const bool horiz = tech_->pref(w) == Dir::kHorizontal;
+  const auto& tracks = tg_->tracks(w);
+  const int num_st = static_cast<int>(tg_->stations(w).size());
+  auto& maps = (via ? via_ : wiring_)[static_cast<std::size_t>(layer)];
+  const bool stale = g_inject_staleness.load(std::memory_order_relaxed);
+  int tlo = jobs.front().tlo, thi = jobs.front().thi;
+  for (const Job& j : jobs) {
+    tlo = std::min(tlo, j.tlo);
+    thi = std::max(thi, j.thi);
+  }
+  std::vector<std::uint64_t> buf;
+  for (int ti = tlo; ti <= thi; ++ti) {
+    // The track's window: the hull of its covering jobs' station windows.
+    int lo = num_st, hi = -1;
+    for (const Job& j : jobs) {
+      if (ti < j.tlo || ti > j.thi) continue;
+      lo = std::min(lo, j.slo);
+      hi = std::max(hi, j.shi);
+    }
+    if (lo > hi) continue;
+    auto& map = maps[static_cast<std::size_t>(ti)];
+    // Exclusive over the whole load + reapply + write so readers of this
+    // track never observe a half-refreshed window.
+    auto lk = write_guard(shard(via, layer, ti));
+    buf.resize(static_cast<std::size_t>(hi - lo + 1));
+    map.for_each(lo, hi + 1, [&](Coord a, Coord b, const std::uint64_t& v) {
+      std::fill(buf.begin() + (a - lo), buf.begin() + (b - lo), v);
+    });
+    auto at = [&](int s) -> std::uint64_t& {
+      return buf[static_cast<std::size_t>(s - lo)];
+    };
+    // Each job owns its field bits (gap bit k belongs to job (k, wire)
+    // alone), so applying the covering jobs one after another to the shared
+    // buffer gives the words that refreshing them one at a time would.
+    for (const Job& j : jobs) {
+      if (ti < j.tlo || ti > j.thi) continue;
+      const std::uint64_t field = kFieldMask << j.off;
+      // Reset this field (and the gap bit) to free on the job's window...
+      for (int s = j.slo; s <= j.shi; ++s) at(s) = (at(s) | field) & ~j.gap;
+      // ...then lower it to every blocker's ripup level.
+      const auto runs = checker_->forbidden_runs(
+          g, j.model, horiz, tracks[static_cast<std::size_t>(ti)], j.qbound,
+          /*net=*/-3, j.kind, j.swept);
+      for (const ForbiddenRun& run : runs) {
+        const auto [alo, ahi] = tg_->station_range(w, run.along);
+        if (alo > ahi) {
+          // Forbidden run strictly inside an edge: endpoint legality does
+          // not imply edge legality — set the gap bit on the left vertex.
+          // Guards: the left vertex must exist (alo == 0 would underflow
+          // to station -1), lie inside the reset window [slo, shi], and
+          // the flagged edge must exist (alo <= num_st - 1).  Runs the
+          // qbound extension clipped on the left (alo <= slo) belong to
+          // edges outside the window and must not be misclassified here.
+          const int left = alo - 1;
+          if (j.gap != 0 && left >= j.slo && left <= j.shi &&
+              alo <= num_st - 1) {
+            at(left) |= j.gap;
+          }
+          continue;
+        }
+        const std::uint64_t level =
+            static_cast<std::uint64_t>(std::min<int>(run.ripup, 6));
+        if (stale && level >= kStandard) continue;
+        const std::uint64_t val = level << j.off;
+        for (int s = std::max(alo, j.slo); s <= std::min(ahi, j.shi); ++s) {
+          if ((at(s) & field) > val) at(s) = (at(s) & ~field) | val;
         }
       }
     }
+    // One splice writes the window back; a coalesced map of a given
+    // function is unique, so it stores what per-job updates would.
+    map.assign_dense(lo, buf);
   }
 }
 

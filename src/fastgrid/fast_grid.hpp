@@ -178,6 +178,20 @@ class FastGrid {
   void recompute_wiring(int w, const Rect& region);
   void recompute_via(int v, const Rect& region);
 
+  /// One cached (wiretype, field) refresh of a layer: which bits it owns,
+  /// what it asks the checker, and which stations and tracks it rewrites.
+  struct Job;
+  /// Set j's station window, forbidden_runs bound and track range for a
+  /// refresh of `region` on lattice layer w, whose rules reach `spacing`
+  /// past a model; false when no station is affected.  `past_edge` extends
+  /// the bound one station right of the window (wiring layers' gap bits).
+  bool place_job(int w, const Rect& region, Coord spacing, bool past_edge,
+                 Job& j) const;
+  /// Run a layer's jobs track by track: each affected track is read once,
+  /// every covering job is applied to a word buffer, and the buffer is
+  /// written back in one splice.
+  void recompute_tracks(bool via, int layer, std::span<const Job> jobs);
+
   /// Models for a (wiretype, field) on wiring layer w; returns whether the
   /// field exists (e.g. no via bottom pad on the top layer).
   bool field_model(int w, int wt, Field f, WireModel& out,

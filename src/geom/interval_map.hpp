@@ -10,7 +10,7 @@
 
 #include <cstddef>
 #include <map>
-#include <vector>
+#include <span>
 
 #include "src/geom/point.hpp"
 #include "src/util/assert.hpp"
@@ -46,21 +46,26 @@ class IntervalMap {
     if (!(before == v)) breaks_.emplace(lo, v);
   }
 
-  /// Read-modify-write on [lo, hi): fn(V&) is applied to each constant piece.
-  template <typename Fn>
-  void update(Coord lo, Coord hi, Fn fn) {
-    if (lo >= hi) return;
-    // Materialize the pieces first (fn may produce values equal to their
-    // neighbours, so we re-assign to keep coalescing invariants).
-    struct Piece { Coord lo, hi; V v; };
-    std::vector<Piece> pieces;
-    for_each(lo, hi, [&](Coord plo, Coord phi, const V& v) {
-      pieces.push_back({plo, phi, v});
-    });
-    for (auto& p : pieces) {
-      fn(p.v);
-      assign(p.lo, p.hi, p.v);
+  /// Bulk write: assign vals[i] on [lo + i, lo + i + 1) for every i, as one
+  /// canonical splice of the window [lo, lo + vals.size()) — one tree
+  /// search, then breakpoints only where the value changes, each inserted at
+  /// a hint.  The result equals the per-position assigns.
+  void assign_dense(Coord lo, std::span<const V> vals) {
+    if (vals.empty()) return;
+    const Coord hi = lo + static_cast<Coord>(vals.size());
+    const V end_val = at(hi);
+    auto first = breaks_.lower_bound(lo);
+    const V* prev = (first == breaks_.begin()) ? &default_
+                                               : &std::prev(first)->second;
+    // Breakpoints on [lo, hi] go; the one at hi is re-added below if the
+    // value still changes there.  `next` is the first breakpoint past hi.
+    const auto next = breaks_.erase(first, breaks_.upper_bound(hi));
+    for (std::size_t i = 0; i < vals.size(); ++i) {
+      if (vals[i] == *prev) continue;
+      breaks_.emplace_hint(next, lo + static_cast<Coord>(i), vals[i]);
+      prev = &vals[i];
     }
+    if (!(end_val == *prev)) breaks_.emplace_hint(next, hi, end_val);
   }
 
   /// Iterate constant pieces intersecting [lo, hi): fn(piece_lo, piece_hi, v),

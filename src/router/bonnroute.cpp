@@ -564,7 +564,17 @@ FlowReport bonnroute_impl(const Chip& chip, const FlowParams& params,
   return run_flow("bonnroute", "flow.bonnroute", chip, params, FlowReport(),
                   validate, [&](const FlowContext& ctx, FlowReport& report) {
     const auto [nx, ny] = flow_tiles(chip, params);
-    RoutingSpace rs(chip);
+    const bool from_detailed_done =
+        resume != nullptr && resume->phase >= FlowPhase::kDetailedDone;
+    // At the detailed-done boundary all wiring — including the committed
+    // pin-access paths — is in the checkpoint base; building the space with
+    // it reconstructs the exact routing-space state at that boundary.
+    RoutingSpace rs = [&] {
+      if (!from_detailed_done) return RoutingSpace(chip);
+      obs::set_phase("resume");
+      BONN_TRACE_SPAN("router.resume_load");
+      return RoutingSpace(chip, resume->base);
+    }();
     NetRouter router(rs);
     DetailedScheduler sched(router, ctx.threads);
     Budget& budget = ctx.budget;
@@ -609,18 +619,11 @@ FlowReport bonnroute_impl(const Chip& chip, const FlowParams& params,
       finalize_report(ctx, rs, report, out);
     };
 
-    const bool from_detailed_done =
-        resume != nullptr && resume->phase >= FlowPhase::kDetailedDone;
     std::optional<GlobalRouter> gr;
 
     if (from_detailed_done) {
-      // All wiring — including the committed pin-access paths — is in the
-      // checkpoint base; reloading it reconstructs the exact routing-space
-      // state at the detailed-done boundary.  The global router is rebuilt
-      // for its corridor geometry only (tile grid), never re-routed.
-      obs::set_phase("resume");
-      BONN_TRACE_SPAN("router.resume_load");
-      rs.load_result(resume->base);
+      // The global router is rebuilt for its corridor geometry only (tile
+      // grid), never re-routed.
       gr.emplace(chip, rs.tg(), rs.fast(), nx, ny);
       routes = resume->routes;
       zones = resume->spread_zones;
@@ -760,12 +763,11 @@ EcoReport reroute_nets(const Chip& chip, const RoutingResult& prior,
   };
   return run_flow("eco", "flow.eco", chip, params, std::move(init), validate,
                   [&](const FlowContext& ctx, EcoReport& report) {
-    RoutingSpace rs(chip);
     obs::set_phase("eco_load");
-    {
+    RoutingSpace rs = [&] {
       BONN_TRACE_SPAN("eco.load_prior");
-      rs.load_result(prior);
-    }
+      return RoutingSpace(chip, prior);
+    }();
     phase_boundary(report.phase_rss, "eco_load", "eco");
     NetRouter router(rs);
     DetailedScheduler sched(router, ctx.threads);

@@ -1,6 +1,7 @@
 #include "src/tech/rules.hpp"
 
 #include <algorithm>
+#include <limits>
 
 namespace bonn {
 
@@ -18,6 +19,13 @@ Coord SpacingTable::required(Coord w1, Coord w2, Coord prl) const {
 Coord SpacingTable::max_spacing() const {
   Coord m = 0;
   for (const SpacingRow& row : rows_) m = std::max(m, row.spacing);
+  return m;
+}
+
+Coord SpacingTable::min_prl_threshold() const {
+  Coord m = std::numeric_limits<Coord>::max();
+  for (const SpacingRow& row : rows_)
+    if (row.prl_ge > 0) m = std::min(m, row.prl_ge);
   return m;
 }
 

@@ -41,6 +41,11 @@ class SpacingTable {
   /// windows in the shape grid).
   Coord max_spacing() const;
 
+  /// Smallest positive run-length threshold of any row, or the largest
+  /// Coord when none has one: non-negative run-lengths below it all select
+  /// the same spacing.
+  Coord min_prl_threshold() const;
+
   bool empty() const { return rows_.empty(); }
 
  private:

@@ -1,6 +1,7 @@
 #include "src/tech/tech.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "src/util/assert.hpp"
 
@@ -10,6 +11,14 @@ Coord Tech::max_spacing(int wiring_layer) const {
   Coord m = wiring[static_cast<std::size_t>(wiring_layer)].min_spacing;
   for (const SpacingTable& t : spacing[static_cast<std::size_t>(wiring_layer)]) {
     m = std::max(m, t.max_spacing());
+  }
+  return m;
+}
+
+Coord Tech::min_prl_threshold(int wiring_layer) const {
+  Coord m = std::numeric_limits<Coord>::max();
+  for (const SpacingTable& t : spacing[static_cast<std::size_t>(wiring_layer)]) {
+    m = std::min(m, t.min_prl_threshold());
   }
   return m;
 }

@@ -39,6 +39,9 @@ class Tech {
   /// Largest spacing any rule on the layer can require — bounds the window
   /// the distance rule checker must inspect around a candidate shape.
   Coord max_spacing(int wiring_layer) const;
+  /// Smallest positive run-length threshold of any rule on the layer (see
+  /// SpacingTable::min_prl_threshold).
+  Coord min_prl_threshold(int wiring_layer) const;
 
   const WireType& wt(int id) const { return wiretypes[static_cast<std::size_t>(id)]; }
 

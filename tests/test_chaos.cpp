@@ -5,6 +5,7 @@
 // BONN_* environment parsing at the flow boundary.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -517,30 +518,37 @@ TEST(Chaos, PoolDispatchFaultDefersNetsWithoutCrashing) {
 
 // A watchdog ceiling no real attempt can meet stops every long search at
 // the poll boundary, quarantines the repeat offenders, and the flow still
-// terminates with the fast nets routed.
+// terminates with the fast nets routed.  With a per-net pop cap too, a
+// watchdog stop must not descend the retry ladder: its rungs share the
+// pass's expired ceiling, so descending would quarantine each hung net as
+// `ladder` on its first attempt instead of as `watchdog` after two strikes.
 TEST(Chaos, WatchdogStopsHungAttemptsAndQuarantinesRepeatOffenders) {
   const Chip chip = generate_chip(small_params());
-  FlowParams fp = fast_flow();
-  fp.detailed.watchdog_s = 1e-9;
-  fp.obs.flight = true;
-  RoutingResult out;
-  const FlowReport r = run_bonnroute_flow(chip, fp, &out);
-  EXPECT_TRUE(validate_result(chip, out).empty());
-  EXPECT_TRUE(r.outcome == FlowOutcome::kCompleted ||
-              r.outcome == FlowOutcome::kDegraded)
-      << to_string(r.outcome);
-  if (r.outcome == FlowOutcome::kCompleted) {
-    GTEST_SKIP() << "every net routed under 1024 pops on this machine";
-  }
-  EXPECT_GT(r.detailed.watchdog_stops, 0);
-  ASSERT_FALSE(r.detailed.quarantined.empty());
-  for (const DetailedStats::Quarantined& q : r.detailed.quarantined) {
-    EXPECT_EQ(q.cause, "watchdog");
-    // Flight::explain marks the watchdog stops for the quarantined net.
-    const obs::Json doc = obs::Flight::explain(q.net);
-    const obs::Json* summary = doc.find("summary");
-    ASSERT_NE(summary, nullptr);
-    EXPECT_GT(summary->find("watchdog_stops")->as_int(), 0) << q.net;
+  for (const std::int64_t pop_limit : {0, 1'000'000}) {
+    SCOPED_TRACE("attempt_pop_limit " + std::to_string(pop_limit));
+    FlowParams fp = fast_flow();
+    fp.detailed.watchdog_s = 1e-9;
+    fp.detailed.attempt_pop_limit = pop_limit;
+    fp.obs.flight = true;
+    RoutingResult out;
+    const FlowReport r = run_bonnroute_flow(chip, fp, &out);
+    EXPECT_TRUE(validate_result(chip, out).empty());
+    EXPECT_TRUE(r.outcome == FlowOutcome::kCompleted ||
+                r.outcome == FlowOutcome::kDegraded)
+        << to_string(r.outcome);
+    if (r.outcome == FlowOutcome::kCompleted) {
+      GTEST_SKIP() << "every net routed under 1024 pops on this machine";
+    }
+    EXPECT_GT(r.detailed.watchdog_stops, 0);
+    ASSERT_FALSE(r.detailed.quarantined.empty());
+    for (const DetailedStats::Quarantined& q : r.detailed.quarantined) {
+      EXPECT_EQ(q.cause, "watchdog");
+      // Flight::explain marks the watchdog stops for the quarantined net.
+      const obs::Json doc = obs::Flight::explain(q.net);
+      const obs::Json* summary = doc.find("summary");
+      ASSERT_NE(summary, nullptr);
+      EXPECT_GT(summary->find("watchdog_stops")->as_int(), 0) << q.net;
+    }
   }
 }
 

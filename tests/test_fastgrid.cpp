@@ -3,6 +3,8 @@
 // blockers between stations.
 #include <gtest/gtest.h>
 
+#include <span>
+
 #include "src/db/instance_gen.hpp"
 #include "src/detailed/routing_space.hpp"
 #include "src/fastgrid/oracle.hpp"
@@ -169,45 +171,59 @@ TEST_F(FastGridTest, GapBitForOfftrackBlocker) {
   EXPECT_TRUE(station_blocked || FastGrid::gap_bit(w, 0));
 }
 
-/// Incremental consistency: a sequence of inserts/removes leaves exactly the
-/// same words as a full rebuild.
+/// Incremental consistency: a sequence of single and batched inserts and
+/// removes, on wiring and via layers, leaves exactly the words of a full
+/// rebuild — both checked word by word against the oracle, for the space's
+/// fast grid and for one caching all three test wiretypes.
 TEST_F(FastGridTest, IncrementalMatchesRebuild) {
+  FastGrid fast3(chip_.tech, rs_->tg(), rs_->checker(), /*max_cached=*/3);
+  fast3.rebuild();
   Rng rng(77);
   std::vector<Shape> shapes;
-  for (int i = 0; i < 30; ++i) {
+  for (int i = 0; i < 36; ++i) {
     const Coord x = rng.range(200, 3400);
     const Coord y = rng.range(200, 3400);
-    const int layer = static_cast<int>(rng.range(0, 3));
-    shapes.push_back(Shape{Rect{x, y, x + rng.range(30, 600), y + rng.range(30, 90)},
-                           global_of_wiring(layer), ShapeKind::kWire, 0,
+    const bool via = i % 4 == 3;
+    const Rect r = via ? Rect{x, y, x + 50, y + 50}
+                       : Rect{x, y, x + rng.range(30, 600),
+                              y + rng.range(30, 90)};
+    shapes.push_back(Shape{r,
+                           via ? global_of_via(static_cast<int>(rng.range(0, 2)))
+                               : global_of_wiring(static_cast<int>(rng.range(0, 3))),
+                           via ? ShapeKind::kViaCut : ShapeKind::kWire, 0,
                            static_cast<int>(rng.range(0, 5))});
   }
-  for (const Shape& s : shapes) rs_->insert_shape(s, kStandard);
-  for (int i = 0; i < 10; ++i) {
-    rs_->remove_shape(shapes[static_cast<std::size_t>(i)], kStandard);
-  }
-
-  // Snapshot a sample of words, then rebuild and compare.
-  struct Sample {
-    TrackVertex v;
-    std::uint64_t word;
+  // The first 12 one at a time, the rest in batches of 6 that the refresh
+  // clusters per layer.
+  const std::span<const Shape> all(shapes);
+  auto insert = [&](std::span<const Shape> b) {
+    rs_->insert_shapes(b, kStandard);
+    fast3.on_change_all(b);
   };
-  std::vector<Sample> samples;
-  for (int layer = 0; layer < 3; ++layer) {
-    const auto& tracks = rs_->tg().tracks(layer);
-    const auto& stations = rs_->tg().stations(layer);
-    for (int k = 0; k < 100; ++k) {
-      TrackVertex v{layer, static_cast<int>(rng.below(tracks.size())),
-                    static_cast<int>(rng.below(stations.size()))};
-      samples.push_back({v, rs_->fast().word(v.layer, v.track, v.station)});
-    }
-  }
+  auto remove = [&](std::span<const Shape> b) {
+    rs_->remove_shapes(b, kStandard);
+    fast3.on_change_all(b);
+  };
+  for (std::size_t i = 0; i < 12; ++i) insert(all.subspan(i, 1));
+  for (std::size_t i = 12; i < all.size(); i += 6) insert(all.subspan(i, 6));
+  for (std::size_t i = 0; i < 6; ++i) remove(all.subspan(i, 1));
+  remove(all.subspan(12, 6));
+  remove(all.subspan(24, 6));
+
+  auto expect_naive = [&](const FastGrid& fast, const char* what) {
+    std::string why;
+    EXPECT_EQ(fastgrid_diff_vs_naive(fast, chip_.tech, rs_->tg(),
+                                     rs_->checker(), &why),
+              0u)
+        << what << "\n"
+        << why;
+  };
+  expect_naive(rs_->fast(), "incremental, 2 wiretypes");
+  expect_naive(fast3, "incremental, 3 wiretypes");
   rs_->mutable_fast().rebuild();
-  for (const Sample& s : samples) {
-    EXPECT_EQ(rs_->fast().word(s.v.layer, s.v.track, s.v.station), s.word)
-        << "layer " << s.v.layer << " track " << s.v.track << " station "
-        << s.v.station;
-  }
+  fast3.rebuild();
+  expect_naive(rs_->fast(), "rebuild, 2 wiretypes");
+  expect_naive(fast3, "rebuild, 3 wiretypes");
 }
 
 /// All-words comparison of the incremental state against the oracle (what

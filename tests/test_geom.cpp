@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <vector>
 
 #include "src/geom/interval.hpp"
 #include "src/geom/interval_map.hpp"
@@ -84,18 +85,33 @@ TEST(IntervalMap, Coalescing) {
 }
 
 /// Property: IntervalMap agrees with a naive dense reference under random
-/// assigns.
+/// assigns and bulk writes, and stays canonical.
 TEST(IntervalMap, MatchesNaiveReference) {
   Rng rng(123);
   IntervalMap<int> m(-1);
   std::map<Coord, int> naive;  // position -> value over [0, 200)
   for (Coord i = 0; i < 200; ++i) naive[i] = -1;
-  for (int step = 0; step < 500; ++step) {
+  for (int step = 0; step < 1000; ++step) {
     const Coord lo = rng.range(0, 199);
     const Coord hi = rng.range(lo, 200);
-    const int v = static_cast<int>(rng.range(-1, 4));
-    m.assign(lo, hi, v);
-    for (Coord i = lo; i < hi; ++i) naive[i] = v;
+    if (rng.flip(0.5)) {
+      const int v = static_cast<int>(rng.range(-1, 4));
+      m.assign(lo, hi, v);
+      for (Coord i = lo; i < hi; ++i) naive[i] = v;
+    } else {
+      // Runs of equal values, some equal to their neighbours outside the
+      // window, so the splice must coalesce on both ends.
+      std::vector<int> vals;
+      for (Coord i = lo; i < hi; ++i) {
+        vals.push_back(!vals.empty() && rng.flip(0.6)
+                           ? vals.back()
+                           : static_cast<int>(rng.range(-1, 4)));
+      }
+      m.assign_dense(lo, vals);
+      for (Coord i = lo; i < hi; ++i)
+        naive[i] = vals[static_cast<std::size_t>(i - lo)];
+    }
+    ASSERT_TRUE(m.check_coalesced()) << "step " << step;
     if (step % 50 == 0) {
       for (Coord i = 0; i < 200; ++i) {
         ASSERT_EQ(m.at(i), naive[i]) << "pos " << i << " step " << step;
@@ -109,17 +125,6 @@ TEST(IntervalMap, MatchesNaiveReference) {
     for (Coord i = lo; i < hi; ++i) ASSERT_EQ(naive[i], v);
   });
   EXPECT_EQ(covered, 200);
-}
-
-TEST(IntervalMap, UpdateReadModifyWrite) {
-  IntervalMap<int> m(0);
-  m.assign(0, 10, 1);
-  m.assign(10, 20, 2);
-  m.update(5, 15, [](int& v) { v += 10; });
-  EXPECT_EQ(m.at(4), 1);
-  EXPECT_EQ(m.at(5), 11);
-  EXPECT_EQ(m.at(10), 12);
-  EXPECT_EQ(m.at(15), 2);
 }
 
 TEST(RectUnion, AreaBasics) {

@@ -10,9 +10,13 @@
 //  - stacked-via estimator monotone in k for every footprint
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
+
 #include "src/blockagegrid/tau_path.hpp"
 #include "src/db/instance_gen.hpp"
 #include "src/detailed/net_router.hpp"
+#include "src/fastgrid/oracle.hpp"
 #include "src/geom/rsmt.hpp"
 #include "src/global/stacked_vias.hpp"
 #include "src/tracks/track_opt.hpp"
@@ -77,11 +81,23 @@ class FastGridIncremental : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(FastGridIncremental, MatchesRebuild) {
   Chip chip = make_tiny_chip(4);
   RoutingSpace rs(chip);
+  // A second fast grid over the same shape grid that caches all three test
+  // wiretypes, kept current by the same change notifications.
+  FastGrid fast3(chip.tech, rs.tg(), rs.checker(), /*max_cached=*/3);
+  fast3.rebuild();
   Rng rng(GetParam());
   std::vector<Shape> shapes;
-  for (int i = 0; i < 24; ++i) {
+  for (int i = 0; i < 32; ++i) {
     const Coord x = rng.range(200, 3400);
     const Coord y = rng.range(200, 3400);
+    if (rng.flip(0.25)) {
+      shapes.push_back(Shape{Rect{x, y, x + rng.range(30, 120),
+                                  y + rng.range(30, 120)},
+                             global_of_via(static_cast<int>(rng.range(0, 2))),
+                             ShapeKind::kViaCut, 0,
+                             static_cast<int>(rng.range(0, 5))});
+      continue;
+    }
     const int layer = static_cast<int>(rng.range(0, 3));
     const auto kind = rng.flip(0.2) ? ShapeKind::kJog : ShapeKind::kWire;
     shapes.push_back(Shape{Rect{x, y, x + rng.range(30, 600),
@@ -89,32 +105,46 @@ TEST_P(FastGridIncremental, MatchesRebuild) {
                            global_of_wiring(layer), kind, 0,
                            static_cast<int>(rng.range(0, 5))});
   }
-  for (const Shape& s : shapes) rs.insert_shape(s, kStandard);
+  // Batches of 1-4 shapes: on_change_all clusters each batch's rects per
+  // layer and refreshes each cluster once.
+  auto batches = [&](std::span<const Shape> all, auto&& apply) {
+    for (std::size_t i = 0; i < all.size();) {
+      const std::size_t n =
+          std::min<std::size_t>(all.size() - i, 1 + rng.below(4));
+      apply(all.subspan(i, n));
+      i += n;
+    }
+  };
+  batches(shapes, [&](std::span<const Shape> b) {
+    rs.insert_shapes(b, kStandard);
+    fast3.on_change_all(b);
+  });
   Rng rng2(GetParam() + 1);
   std::shuffle(shapes.begin(), shapes.end(), rng2);
-  for (int i = 0; i < 8; ++i) {
-    rs.remove_shape(shapes[static_cast<std::size_t>(i)], kStandard);
-  }
-  struct Sample {
-    TrackVertex v;
-    std::uint64_t word;
+  batches(std::span<const Shape>(shapes).first(12),
+          [&](std::span<const Shape> b) {
+            rs.remove_shapes(b, kStandard);
+            fast3.on_change_all(b);
+          });
+  // Every word of every wiring and via track against the oracle, which
+  // recomputes each station from the checker and shares no write path with
+  // the fast grid — before the rebuild and after it, so incremental words
+  // equal rebuilt ones.
+  auto expect_naive = [&](const FastGrid& fast, const char* what) {
+    std::string why;
+    EXPECT_EQ(fastgrid_diff_vs_naive(fast, chip.tech, rs.tg(), rs.checker(),
+                                     &why),
+              0u)
+        << what << "\n"
+        << why;
+    EXPECT_TRUE(fast.check_canonical(&why)) << what << "\n" << why;
   };
-  std::vector<Sample> samples;
-  for (int layer = 0; layer < 4; ++layer) {
-    const auto& tracks = rs.tg().tracks(layer);
-    const auto& stations = rs.tg().stations(layer);
-    for (int k = 0; k < 60; ++k) {
-      TrackVertex v{layer, static_cast<int>(rng2.below(tracks.size())),
-                    static_cast<int>(rng2.below(stations.size()))};
-      samples.push_back({v, rs.fast().word(v.layer, v.track, v.station)});
-    }
-  }
+  expect_naive(rs.fast(), "incremental, 2 wiretypes");
+  expect_naive(fast3, "incremental, 3 wiretypes");
   rs.mutable_fast().rebuild();
-  for (const Sample& s : samples) {
-    EXPECT_EQ(rs.fast().word(s.v.layer, s.v.track, s.v.station), s.word)
-        << "layer " << s.v.layer << " track " << s.v.track << " station "
-        << s.v.station;
-  }
+  fast3.rebuild();
+  expect_naive(rs.fast(), "rebuild, 2 wiretypes");
+  expect_naive(fast3, "rebuild, 3 wiretypes");
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FastGridIncremental,

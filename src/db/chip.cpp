@@ -33,6 +33,17 @@ std::vector<Shape> Chip::fixed_shapes() const {
   return out;
 }
 
+std::vector<Shape> Chip::pin_shapes(int net) const {
+  std::vector<Shape> out;
+  for (int pid : nets[static_cast<std::size_t>(net)].pins) {
+    for (const RectL& rl : pins[static_cast<std::size_t>(pid)].shapes) {
+      out.push_back(Shape{rl.r, global_of_wiring(rl.layer), ShapeKind::kPin,
+                          /*cls=*/0, net});
+    }
+  }
+  return out;
+}
+
 Coord RoutingResult::total_wirelength() const {
   Coord len = 0;
   for (const auto& paths : net_paths) {

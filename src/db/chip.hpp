@@ -63,6 +63,8 @@ class Chip {
   /// All fixed shapes + pin shapes as Shape records (what gets preloaded
   /// into the routing-space data structures).
   std::vector<Shape> fixed_shapes() const;
+  /// The pin shapes of one net, as fixed_shapes() records them.
+  std::vector<Shape> pin_shapes(int net) const;
 };
 
 /// A complete routing result: paths per net.

@@ -428,29 +428,26 @@ bool NetRouter::connect_components(int net, const NetRouteParams& params,
       commit_access_pins.clear();
       blockers.clear();
       {
-        // Temporarily remove the components' shapes (§4.4).  Pins and the
-        // net's own wiring were inserted at different ripup levels, and a
-        // Reservation must restore shapes at exactly the level they were
-        // inserted at (re-inserting wiring at kFixed would permanently mark
-        // the net's own shapes unrippable) — so hold them separately.
-        std::vector<Shape> reserved_pins;
-        for (int pid : n.pins) {
-          for (const RectL& rl :
-               chip.pins[static_cast<std::size_t>(pid)].shapes) {
-            reserved_pins.push_back(Shape{rl.r, global_of_wiring(rl.layer),
-                                          ShapeKind::kPin, 0, net});
-          }
-        }
-        std::vector<Shape> reserved_paths;
+        // Hold the components' shapes out of the space for the search
+        // (§4.4) in a nested transaction that rolls back afterwards: the
+        // row before-images restore the shape grid, one batched refresh the
+        // fast grid, and nothing of the hold reaches the enclosing
+        // transaction's journal or dirty region.  Pins and the net's own
+        // wiring are removed in separate calls because remove_shapes
+        // matches each shape's insertion level (kFixed for pins,
+        // net_level(net) for wiring); the restore copies images back and
+        // needs no level.  No transaction may open inside the hold; both
+        // search cores are const.
+        const std::vector<Shape> pin_shapes = chip.pin_shapes(net);
+        std::vector<Shape> wiring;
         for (const RoutedPath& p : rs_->paths(net)) {
           for (const Shape& s : expand_path(p, chip.tech)) {
-            reserved_paths.push_back(s);
+            wiring.push_back(s);
           }
         }
-        RoutingSpace::Reservation hold_pins(*rs_, std::move(reserved_pins),
-                                            kFixed);
-        RoutingSpace::Reservation hold_paths(*rs_, std::move(reserved_paths),
-                                             rs_->net_level(net));
+        RoutingTransaction hold(*rs_);
+        rs_->remove_shapes(pin_shapes, kFixed);
+        rs_->remove_shapes(wiring, rs_->net_level(net));
 
         SearchParams sp = params.search;
         sp.net = net;
@@ -470,7 +467,11 @@ bool NetRouter::connect_components(int net, const NetRouteParams& params,
         fp = params.vertex_search
                  ? vsearch_.run(sources, targets, area, pi, sp, &stats.search)
                  : search_.run(sources, targets, area, pi, sp, &stats.search);
-      }  // reservation restored before verify/commit
+        // Explicit, so an audit failure or an injected txn_rollback fault
+        // surfaces as a recoverable error; a throwing search rolls the hold
+        // back in its destructor.
+        hold.rollback();
+      }
       if (!fp) break;
 
       // Assemble the would-be committed paths: main + access tails.

@@ -1,6 +1,5 @@
 #include "src/detailed/routing_space.hpp"
 
-#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <stdexcept>
@@ -218,21 +217,12 @@ bool RoutingSpace::check_invariants(std::string* why,
   // matching pieces the grid reports inside the shape's rect must cover it.
   // (The fuzzer's shadow model additionally verifies exact multiset
   // equality of *all* occupancy, which needs knowledge of raw insertions
-  // and reservations this class does not track.)
+  // this class does not track.)
   const Rect die = grid_->die();
-  std::vector<Shape> reserved;
-  {
-    std::lock_guard<std::mutex> lk(reserved_mu_);
-    reserved = reserved_shapes_;
-  }
   for (std::size_t n = 0; ok && n < net_paths_.size(); ++n) {
     for (const RoutedPath& p : net_paths_[n]) {
       for (const Shape& s : expand_path(p, chip_->tech)) {
         if (region != nullptr && !s.rect.intersects(region->expanded(200)))
-          continue;
-        // A live Reservation (§4.4) legitimately holds this shape out of the
-        // grid while the path stays recorded.
-        if (std::find(reserved.begin(), reserved.end(), s) != reserved.end())
           continue;
         const Rect expect = s.rect.intersection(die);
         if (expect.empty() || expect.area() == 0) continue;
@@ -275,53 +265,6 @@ void RoutingSpace::audit(const char* where, const Rect* region) const {
     throw std::logic_error(std::string("routing-space audit failed at ") +
                            where + ":\n" + why);
   }
-}
-
-RoutingSpace::Reservation::Reservation(RoutingSpace& rs,
-                                       std::vector<Shape> shapes,
-                                       RipupLevel level)
-    : rs_(&rs), shapes_(std::move(shapes)), level_(level) {
-  rs_->remove_shapes(shapes_, level_);
-  std::lock_guard<std::mutex> lk(rs_->reserved_mu_);
-  rs_->reserved_shapes_.insert(rs_->reserved_shapes_.end(), shapes_.begin(),
-                               shapes_.end());
-}
-
-RoutingSpace::Reservation::~Reservation() { release(); }
-
-RoutingSpace::Reservation& RoutingSpace::Reservation::operator=(
-    Reservation&& o) noexcept {
-  if (this != &o) {
-    release();
-    rs_ = std::exchange(o.rs_, nullptr);
-    shapes_ = std::move(o.shapes_);
-    level_ = o.level_;
-  }
-  return *this;
-}
-
-void RoutingSpace::Reservation::release() {
-  if (!rs_) return;
-  rs_->insert_shapes(shapes_, level_);
-  {
-    std::lock_guard<std::mutex> lk(rs_->reserved_mu_);
-    auto& held = rs_->reserved_shapes_;
-    for (const Shape& s : shapes_) {
-      for (std::size_t i = 0; i < held.size(); ++i) {
-        if (held[i] == s) {
-          held.erase(held.begin() + static_cast<std::ptrdiff_t>(i));
-          break;
-        }
-      }
-    }
-  }
-  rs_ = nullptr;
-  shapes_.clear();
-}
-
-std::size_t RoutingSpace::reserved_shape_count() const {
-  std::lock_guard<std::mutex> lk(reserved_mu_);
-  return reserved_shapes_.size();
 }
 
 }  // namespace bonn

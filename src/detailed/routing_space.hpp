@@ -4,8 +4,8 @@
 // (§3.4) and fast grid (§3.6), and keeps them consistent: every path
 // insertion/removal updates the shape grid and refreshes the affected fast
 // grid neighbourhood.  Also owns the routed paths per net, so rip-up (§4.2)
-// and the temporary removal of connected components during path search
-// (§4.4) are single calls.
+// is a single call, and the temporary removal of connected components
+// during path search (§4.4) is a transaction that rolls back.
 //
 // All mutators are transaction-aware: while a RoutingTransaction
 // (transaction.hpp) is open on the calling thread for this space, every
@@ -14,11 +14,9 @@
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <span>
 #include <string>
-#include <utility>
 
 #include "src/db/chip.hpp"
 #include "src/drc/checker.hpp"
@@ -35,8 +33,9 @@ class RoutingTransaction;
 // sharded reader-writer locks of the shape grid, the config table, and the
 // fast grid, after which threads confined to *disjoint routing windows* may
 // concurrently call commit_path / rip_net / remove_recorded /
-// insert_shape / remove_shape / Reservation and all read paths.  The locks
-// provide memory safety only; logical isolation (no thread observes or rips
+// insert_shape / remove_shape, open and close their own transactions (the
+// §4.4 search hold is one), and use all read paths.  The locks provide
+// memory safety only; logical isolation (no thread observes or rips
 // another window's in-flight work) is the DetailedScheduler's job: it
 // assigns each net to a window only when the net's whole reach — search
 // area, pin-access windows, fast-grid refresh neighbourhood, DRC
@@ -101,40 +100,6 @@ class RoutingSpace {
   /// transaction; path ids restart from 0.
   void load_result(const RoutingResult& prior);
 
-  /// Temporarily remove shapes (e.g. of the source/target components during
-  /// a search, §4.4); returns a token restoring them on destruction.
-  /// `level` must be the ripup level the shapes were inserted at (kFixed
-  /// for chip pins/blockages, net_level(net) for routed wiring): the shape
-  /// grid stores ripup per shape and removal matches on it, and the restore
-  /// re-inserts at the same level.  Movable, so helpers can build and
-  /// return reservations; journal-backed, so it nests inside any enclosing
-  /// RoutingTransaction.
-  class Reservation {
-   public:
-    Reservation(RoutingSpace& rs, std::vector<Shape> shapes,
-                RipupLevel level);
-    ~Reservation();
-    Reservation(Reservation&& o) noexcept
-        : rs_(std::exchange(o.rs_, nullptr)),
-          shapes_(std::move(o.shapes_)),
-          level_(o.level_) {}
-    Reservation& operator=(Reservation&& o) noexcept;
-    Reservation(const Reservation&) = delete;
-    Reservation& operator=(const Reservation&) = delete;
-
-    /// Restore the shapes now instead of at destruction.
-    void release();
-    bool active() const { return rs_ != nullptr; }
-
-   private:
-    RoutingSpace* rs_;
-    std::vector<Shape> shapes_;
-    RipupLevel level_;
-  };
-
-  /// Number of shapes currently held out of the grid by live Reservations.
-  std::size_t reserved_shape_count() const;
-
   // ---- invariant auditing (correctness harness) -----------------------
   /// Cross-structure consistency audit: (a) recorded paths / stable ids are
   /// structurally sound and every recorded path's shapes are present in the
@@ -183,14 +148,6 @@ class RoutingSpace {
   // window-parallel routing).
   std::vector<std::vector<std::uint64_t>> net_path_ids_;
   std::vector<std::uint64_t> next_path_id_;
-  // Shapes temporarily held out of the grid by live Reservations (§4.4).
-  // The audit consults this so a recorded path whose component shapes are
-  // reserved during a search does not read as "missing from the grid".
-  // Guarded by its own mutex: reservations are per-search, not per-edge, so
-  // the lock is far off every hot path, but concurrent windows (§5.1) do
-  // create and release them in parallel.
-  mutable std::mutex reserved_mu_;
-  std::vector<Shape> reserved_shapes_;
 };
 
 }  // namespace bonn

@@ -1,8 +1,8 @@
 // Journaled routing-space transactions.
 //
 // Every RoutingSpace mutation path (commit_path, rip_net, remove_recorded,
-// insert/remove shape batches, Reservation) used to hand-roll its own undo.
-// A RoutingTransaction is the single audited replacement: while one is open
+// insert/remove shape batches) used to hand-roll its own undo.  A
+// RoutingTransaction is the single audited replacement: while one is open
 // on the current thread, every mutation of its routing space appends a typed
 // undo entry to the journal; rollback() replays the journal in reverse
 // (restoring bit-identical shape-grid rows, fast-grid words and recorded
@@ -11,9 +11,10 @@
 //
 // Transactions nest: a nested commit splices its journal into the enclosing
 // transaction on the same space (so an outer rollback undoes inner committed
-// work too); a nested rollback undoes only its own entries.  The §4.4
-// Reservation is itself journal-backed, so it composes with any enclosing
-// transaction.
+// work too); a nested rollback undoes only its own entries.  The §4.4 search
+// hold is such a nested transaction: it removes the net's pins and wiring,
+// the search runs, and rollback() restores them, leaving no journal entry
+// and no dirty region in the enclosing transaction.
 //
 // Concurrency (§5.1): the active-transaction stack is thread-local.  Under
 // the DetailedScheduler's window discipline each worker thread mutates only

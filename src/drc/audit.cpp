@@ -120,25 +120,35 @@ std::int64_t count_opens(const Chip& chip, const RoutingResult& result) {
   return opens;
 }
 
+std::vector<std::int64_t> diffnet_violations_per_net(
+    const Chip& chip, const RoutingResult& result) {
+  ShapeGrid grid(chip.tech, chip.die);
+  for (const Shape& s : chip.fixed_shapes()) grid.insert(s, kFixed);
+  std::vector<Shape> routed;
+  std::vector<std::size_t> owner;  // index into result.net_paths per shape
+  for (std::size_t n = 0; n < result.net_paths.size(); ++n) {
+    for (const RoutedPath& p : result.net_paths[n]) {
+      auto shapes = expand_path_drawn(p, chip.tech);
+      routed.insert(routed.end(), shapes.begin(), shapes.end());
+      owner.resize(routed.size(), n);
+    }
+  }
+  for (const Shape& s : routed) grid.insert(s, kStandard);
+  DrcChecker checker(chip.tech, grid);
+  std::vector<std::int64_t> per_net(result.net_paths.size(), 0);
+  for (std::size_t i = 0; i < routed.size(); ++i) {
+    if (!checker.check_shape(routed[i]).allowed) ++per_net[owner[i]];
+  }
+  return per_net;
+}
+
 DrcReport audit_routing(const Chip& chip, const RoutingResult& result) {
   DrcReport report;
   report.opens = count_opens(chip, result);
 
   // ---- Diff-net violations: marker count = routed shapes in conflict.
-  ShapeGrid grid(chip.tech, chip.die);
-  for (const Shape& s : chip.fixed_shapes()) grid.insert(s, kFixed);
-  std::vector<Shape> routed;
-  for (const auto& paths : result.net_paths) {
-    for (const RoutedPath& p : paths) {
-      auto shapes = expand_path_drawn(p, chip.tech);
-      routed.insert(routed.end(), shapes.begin(), shapes.end());
-    }
-  }
-  for (const Shape& s : routed) grid.insert(s, kStandard);
-  DrcChecker checker(chip.tech, grid);
-  for (const Shape& s : routed) {
-    if (!checker.check_shape(s).allowed) ++report.diffnet_violations;
-  }
+  for (std::int64_t v : diffnet_violations_per_net(chip, result))
+    report.diffnet_violations += v;
 
   // ---- Same-net rules, per net and wiring layer.
   for (const Net& net : chip.nets) {

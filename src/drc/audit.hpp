@@ -39,6 +39,14 @@ struct DrcReport {
 /// with missing connections count as opens.
 DrcReport audit_routing(const Chip& chip, const RoutingResult& result);
 
+/// Diff-net violations on drawn metal (no line-end extensions), per net:
+/// entry n counts net n's routed shapes that break a distance rule against
+/// the fixed shapes or another net's wiring.  The audit's
+/// diffnet_violations is their sum; DRC cleanup reroutes the nets with a
+/// nonzero count.
+std::vector<std::int64_t> diffnet_violations_per_net(
+    const Chip& chip, const RoutingResult& result);
+
 /// Opens only (cheap connectivity check).
 std::int64_t count_opens(const Chip& chip, const RoutingResult& result);
 

@@ -11,6 +11,7 @@
 #include "src/detailed/routing_space.hpp"
 #include "src/detailed/transaction.hpp"
 #include "src/drc/audit.hpp"
+#include "src/fastgrid/oracle.hpp"
 #include "src/router/bonnroute.hpp"
 #include "src/tech/layer.hpp"
 #include "src/tech/shapes.hpp"
@@ -51,8 +52,7 @@ std::vector<FuzzOp> gen_ops(const FuzzParams& p) {
     else if (w < 42) k = K::kRemoveRecorded;
     else if (w < 56) k = K::kInsertShape;
     else if (w < 66) k = K::kRemoveShape;
-    else if (w < 74) k = K::kReserve;
-    else if (w < 82) k = K::kRelease;
+    else if (w < 82) k = K::kHold;
     else if (w < 89) k = K::kTxnBegin;
     else if (w < 94) k = K::kTxnCommit;
     else if (w < 98) k = K::kTxnRollback;
@@ -186,23 +186,15 @@ class Driver {
   }
 
   ~Driver() {
-    // Orderly unwind even on a failure exit: reservations before their
-    // level's transaction (their release is journaled), transactions
-    // innermost-first (the thread-local stack is strictly LIFO).
+    // Orderly unwind even on a failure exit: transactions innermost-first
+    // (the thread-local stack is strictly LIFO).
     while (!levels_.empty()) {
       Level lv = std::move(levels_.back());
       levels_.pop_back();
-      for (auto it = lv.reservations.rbegin(); it != lv.reservations.rend();
-           ++it) {
-        try {
-          it->res.release();
-        } catch (...) {  // audit failures must not escape the destructor
-        }
-      }
       if (lv.txn && lv.txn->open()) {
         try {
           lv.txn->rollback();
-        } catch (...) {
+        } catch (...) {  // audit failures must not escape the destructor
         }
       }
     }
@@ -233,7 +225,6 @@ class Driver {
       }
       case K::kRipNet: {
         const int net = static_cast<int>(op.a % static_cast<std::uint64_t>(nets));
-        if (net_reserved(net)) break;
         const RipupLevel level = rs_->net_level(net);
         auto& paths = model_.paths[static_cast<std::size_t>(net)];
         for (const RoutedPath& p : paths) {
@@ -250,7 +241,6 @@ class Driver {
       }
       case K::kRemoveRecorded: {
         const int net = static_cast<int>(op.a % static_cast<std::uint64_t>(nets));
-        if (net_reserved(net)) break;
         auto& ids = model_.ids[static_cast<std::size_t>(net)];
         if (ids.empty()) break;
         const std::size_t idx = static_cast<std::size_t>(op.b % ids.size());
@@ -286,38 +276,30 @@ class Driver {
         affected_ = e.s.rect;
         break;
       }
-      case K::kReserve: {
+      case K::kHold: {
+        // The §4.4 search hold in one step: a nested transaction takes one
+        // net's pins and recorded wiring out, the fast grid must match the
+        // oracle around them, and the rollback puts them back (the check
+        // after this op verifies the restore against the shadow model).
         const int net = static_cast<int>(op.a % static_cast<std::uint64_t>(nets));
-        if (net_reserved(net)) break;  // one reservation per net at a time
-        const auto& paths = model_.paths[static_cast<std::size_t>(net)];
-        if (paths.empty()) break;
-        const std::size_t idx = static_cast<std::size_t>(op.b % paths.size());
-        std::vector<Shape> shapes = expand_path(paths[idx], chip_->tech);
-        const RipupLevel level = rs_->net_level(net);
-        RoutingSpace::Reservation res(*rs_, shapes, level);
-        for (const Shape& s : shapes) {
-          if (!model_.remove(s, level))
-            return "shadow model missing shape during reserve";
-          affected_ = affected_.hull(s.rect);
-        }
-        levels_.back().reservations.push_back(
-            {std::move(res), std::move(shapes), level, net});
-        break;
-      }
-      case K::kRelease: {
-        // Only the innermost level's own reservations: releasing one from an
-        // outer level here would journal the re-insert into the *inner*
-        // transaction, whose rollback would then remove the shapes again
-        // behind the (now inactive) reservation's back.
-        auto& lv = levels_.back();
-        if (lv.reservations.empty()) break;
-        ResHold h = std::move(lv.reservations.back());
-        lv.reservations.pop_back();
-        h.res.release();
-        for (const Shape& s : h.shapes) {
-          model_.add(s, h.level);
-          affected_ = affected_.hull(s.rect);
-        }
+        const std::vector<Shape> pins = chip_->pin_shapes(net);
+        std::vector<Shape> wiring;
+        for (const RoutedPath& p : model_.paths[static_cast<std::size_t>(net)])
+          for (const Shape& s : expand_path(p, chip_->tech)) wiring.push_back(s);
+        if (pins.empty() && wiring.empty()) break;
+        for (const Shape& s : pins) affected_ = affected_.hull(s.rect);
+        for (const Shape& s : wiring) affected_ = affected_.hull(s.rect);
+        RoutingTransaction hold(*rs_);
+        rs_->remove_shapes(pins, kFixed);
+        rs_->remove_shapes(wiring, rs_->net_level(net));
+        std::string why;
+        const std::size_t diffs =
+            fastgrid_diff_vs_naive(rs_->fast(), chip_->tech, rs_->tg(),
+                                   rs_->checker(), &why, &affected_);
+        hold.rollback();
+        if (diffs != 0)
+          return "fast grid diverges from naive recomputation during a hold "
+                 "at " + std::to_string(diffs) + " station(s):\n" + why;
         break;
       }
       case K::kTxnBegin: {
@@ -338,10 +320,6 @@ class Driver {
         levels_.pop_back();
         affected_ = lv.txn->dirty().bbox;
         lv.txn->commit();
-        // Surviving reservations transfer to the enclosing level (their
-        // journal entries were just spliced into the parent transaction).
-        for (ResHold& h : lv.reservations)
-          levels_.back().reservations.push_back(std::move(h));
         break;
       }
       case K::kTxnRollback: {
@@ -349,13 +327,6 @@ class Driver {
         Level lv = std::move(levels_.back());
         levels_.pop_back();
         affected_ = lv.txn->dirty().bbox;
-        // This level's reservations must be gone before the rollback: their
-        // creation and release are both journaled here, so the rollback
-        // cancels them exactly.
-        for (auto it = lv.reservations.rbegin(); it != lv.reservations.rend();
-             ++it)
-          it->res.release();
-        lv.reservations.clear();
         lv.txn->rollback();
         model_ = std::move(lv.snapshot);
         if (lv.have_drc) {
@@ -369,7 +340,6 @@ class Driver {
       case K::kEcoReroute: {
         if (!p_.with_eco) break;
         if (levels_.size() > 1) break;  // bulk reload: no open transactions
-        if (!levels_.back().reservations.empty()) break;
         std::vector<int> sel{static_cast<int>(op.a % static_cast<std::uint64_t>(nets))};
         if (op.b % 2 == 1) {
           const int second =
@@ -473,44 +443,24 @@ class Driver {
     return std::nullopt;
   }
 
-  /// Unwind all open state (reservations, transactions) and run a final
-  /// full-die check.
+  /// Roll back all open transactions and run a final full-die check.
   std::optional<std::string> finish() {
     while (levels_.size() > 1) {
       FuzzOp rb;
       rb.kind = FuzzOp::Kind::kTxnRollback;
       if (auto f = apply(rb)) return f;
     }
-    while (!levels_.back().reservations.empty()) {
-      FuzzOp rel;
-      rel.kind = FuzzOp::Kind::kRelease;
-      if (auto f = apply(rel)) return f;
-    }
     full_region_ = true;
     return check(/*full=*/true);
   }
 
  private:
-  struct ResHold {
-    RoutingSpace::Reservation res;
-    std::vector<Shape> shapes;
-    RipupLevel level = kStandard;
-    int net = -1;
-  };
   struct Level {
     std::unique_ptr<RoutingTransaction> txn;  ///< null for the base level
-    std::vector<ResHold> reservations;
     ShadowModel snapshot;  ///< model state when the transaction opened
     DrcReport drc;         ///< DRC baseline for rollback neutrality
     bool have_drc = false;
   };
-
-  bool net_reserved(int net) const {
-    for (const Level& lv : levels_)
-      for (const ResHold& h : lv.reservations)
-        if (h.net == net) return true;
-    return false;
-  }
 
   /// Random stick path for `net`: a preferred-direction wire, optionally a
   /// via and a second wire on the next layer.  Coordinates are mostly
@@ -596,8 +546,8 @@ class Driver {
 
   const Chip* chip_;
   FuzzParams p_;
-  std::unique_ptr<RoutingSpace> rs_;  // declared before levels_: reservations
-                                      // and transactions must die first
+  std::unique_ptr<RoutingSpace> rs_;  // declared before levels_:
+                                      // transactions must die first
   std::vector<ModelEntry> fixed_;     ///< chip fixed shapes at kFixed
   ShadowModel model_;
   std::vector<Level> levels_;  ///< [0] = base; back() = innermost
@@ -678,9 +628,9 @@ std::vector<FuzzOp> shrink(const Chip& chip, const FuzzParams& p,
 }
 
 constexpr const char* kKindNames[] = {
-    "commit_path", "rip_net",  "remove_recorded", "insert_shape",
-    "remove_shape", "reserve", "release",         "txn_begin",
-    "txn_commit",   "txn_rollback", "eco_reroute"};
+    "commit_path", "rip_net",   "remove_recorded", "insert_shape",
+    "remove_shape", "hold",     "txn_begin",       "txn_commit",
+    "txn_rollback", "eco_reroute"};
 
 }  // namespace
 

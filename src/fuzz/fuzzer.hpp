@@ -2,7 +2,7 @@
 //
 // The fuzzer generates a seeded, fully deterministic sequence of public
 // mutation-API operations — commit_path / rip_net / remove_recorded_by_id,
-// raw shape insert/remove, Reservations, nested RoutingTransaction
+// raw shape insert/remove, §4.4 search holds, nested RoutingTransaction
 // commit/rollback, and ECO reroutes — and drives them against a small
 // synthetic chip.  After every step it cross-checks the real data structures
 // against independent models:
@@ -38,12 +38,12 @@ namespace bonn::fuzz {
 struct FuzzOp {
   enum class Kind : std::uint8_t {
     kCommitPath,     ///< commit a random stick path for net a%N
-    kRipNet,         ///< rip_net(a%N) (no-op while the net is reserved)
+    kRipNet,         ///< rip_net(a%N)
     kRemoveRecorded, ///< remove_recorded_by_id of a random recorded path
     kInsertShape,    ///< raw insert_shape of a random rectangle
     kRemoveShape,    ///< remove_shape of a previously raw-inserted rectangle
-    kReserve,        ///< Reservation of one recorded path's shapes
-    kRelease,        ///< release the newest reservation of the current level
+    kHold,           ///< §4.4 hold of net a%N: nested transaction removes
+                     ///< its pins and wiring, fast grid vs oracle, rollback
     kTxnBegin,       ///< open a nested RoutingTransaction
     kTxnCommit,      ///< commit the innermost transaction
     kTxnRollback,    ///< roll back the innermost transaction

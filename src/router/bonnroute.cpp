@@ -311,10 +311,8 @@ void finalize_report(const FlowContext& ctx, RoutingSpace& rs,
 void cleanup_phase(DetailedScheduler& sched, const FlowParams& params,
                    const NetRouteParams& dp, FlowReport& report) {
   BONN_TRACE_SPAN("router.drc_cleanup");
-  CleanupParams cp = params.cleanup;
-  cp.reroute = dp;
   DetailedStats reroutes;
-  report.cleanup = DrcCleanup(sched).run(cp, reroutes);
+  report.cleanup = DrcCleanup(sched).run(params.cleanup, dp, reroutes);
   report.cleanup_seconds = report.cleanup.seconds;
   for (FlowError& e : reroutes.errors) {
     append_error(report.detailed.errors, std::move(e));

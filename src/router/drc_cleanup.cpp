@@ -7,35 +7,6 @@
 
 namespace bonn {
 
-std::vector<int> DrcCleanup::offending_nets() const {
-  // Judge *drawn* metal (no pessimistic line-end extensions): the cleanup
-  // pass plays the signoff tool, not the router's conservative model.
-  RoutingSpace& rs = router_->space();
-  const Chip& chip = rs.chip();
-  ShapeGrid drawn(chip.tech, chip.die);
-  for (const Shape& s : chip.fixed_shapes()) drawn.insert(s, kFixed);
-  std::vector<std::vector<Shape>> per_net(chip.nets.size());
-  for (const Net& n : chip.nets) {
-    auto& shapes = per_net[static_cast<std::size_t>(n.id)];
-    for (const RoutedPath& p : rs.paths(n.id)) {
-      const auto ps = expand_path_drawn(p, chip.tech);
-      shapes.insert(shapes.end(), ps.begin(), ps.end());
-    }
-    for (const Shape& s : shapes) drawn.insert(s, kStandard);
-  }
-  DrcChecker checker(chip.tech, drawn);
-  std::vector<int> out;
-  for (const Net& n : chip.nets) {
-    for (const Shape& s : per_net[static_cast<std::size_t>(n.id)]) {
-      if (!checker.check_shape(s).allowed) {
-        out.push_back(n.id);
-        break;
-      }
-    }
-  }
-  return out;
-}
-
 int DrcCleanup::extend_short_segments() {
   RoutingSpace& rs = router_->space();
   const Chip& chip = rs.chip();
@@ -80,13 +51,21 @@ int DrcCleanup::extend_short_segments() {
 }
 
 CleanupStats DrcCleanup::run(const CleanupParams& params,
-                              DetailedStats& reroutes) {
+                             const NetRouteParams& reroute,
+                             DetailedStats& reroutes) {
   Timer timer;
   CleanupStats stats;
   RoutingSpace& rs = router_->space();
 
   for (int pass = 0; pass < params.passes; ++pass) {
-    auto offenders = offending_nets();
+    // The offenders are judged on *drawn* metal, as the audit judges them:
+    // the cleanup pass plays the signoff tool, not the router's
+    // conservative model.
+    const std::vector<std::int64_t> per_net =
+        diffnet_violations_per_net(rs.chip(), rs.result());
+    std::vector<int> offenders;
+    for (std::size_t n = 0; n < per_net.size(); ++n)
+      if (per_net[n] != 0) offenders.push_back(static_cast<int>(n));
     if (offenders.empty()) break;
     // Deterministic cap: take the first budget-many offenders in order.
     const int budget = params.max_reroutes - stats.nets_rerouted;
@@ -94,7 +73,7 @@ CleanupStats DrcCleanup::run(const CleanupParams& params,
     if (static_cast<int>(offenders.size()) > budget) {
       offenders.resize(static_cast<std::size_t>(budget));
     }
-    NetRouteParams rp = params.reroute;
+    NetRouteParams rp = reroute;
     // Cleanup reroutes around its blockers instead of ripping them: a
     // rip-up cascade here must land cleanly or roll back (net_router.cpp),
     // which makes it expensive, and measurements show it fixes no more

@@ -17,7 +17,6 @@ namespace bonn {
 struct CleanupParams {
   int max_reroutes = 500;
   int passes = 2;
-  NetRouteParams reroute;  ///< search parameters for the local reroutes
 };
 
 struct CleanupStats {
@@ -35,13 +34,13 @@ class DrcCleanup {
   explicit DrcCleanup(DetailedScheduler& sched)
       : router_(&sched.router()), sched_(&sched) {}
 
-  /// The reroutes' net attempts record into `reroutes` (their recovered
-  /// errors and quarantined nets included).
-  CleanupStats run(const CleanupParams& params, DetailedStats& reroutes);
+  /// The local reroutes search with `reroute` (the flow's detailed
+  /// parameters); their net attempts record into `reroutes` (their
+  /// recovered errors and quarantined nets included).
+  CleanupStats run(const CleanupParams& params, const NetRouteParams& reroute,
+                   DetailedStats& reroutes);
 
  private:
-  /// Nets that currently have a diff-net violation on one of their shapes.
-  std::vector<int> offending_nets() const;
   /// Extend wire sticks shorter than τ where legal.
   int extend_short_segments();
 

@@ -144,31 +144,94 @@ TEST_F(FastGridTest, ViaLevelReflectsBlockedPad) {
   EXPECT_EQ(rs_->fast().via_level(v, 0), FastGrid::kFree);
 }
 
+/// All-words comparison of the incremental state against the oracle (what
+/// RoutingSpace::check_invariants runs); "" on agreement.
+std::string fast_vs_naive(const RoutingSpace& rs) {
+  std::string why;
+  const std::size_t diffs = fastgrid_diff_vs_naive(
+      rs.fast(), rs.chip().tech, rs.tg(), rs.checker(), &why);
+  return diffs == 0 ? std::string() : why;
+}
+
+/// The tiny chip without its macro blockage, on a deck whose layer-0
+/// stations (layer 1's tracks) are 400 dbu apart.  A small blocker's
+/// forbidden runs then fit strictly between two stations, which is the
+/// scene the gap bit exists for; on the default deck every run is wider
+/// than the 100-dbu station pitch and covers a station.
+Chip wide_station_chip() {
+  Chip chip = make_tiny_chip(4);
+  chip.blockages.clear();
+  chip.tech.wiring[1].pitch = 400;
+  return chip;
+}
+
+/// A 4x4 blocker on layer 0 centred at (x, y).
+Shape small_blocker(Coord x, Coord y) {
+  return Shape{Rect{x - 2, y - 2, x + 2, y + 2}, global_of_wiring(0),
+               ShapeKind::kBlockage, 0, -1};
+}
+
 TEST_F(FastGridTest, GapBitForOfftrackBlocker) {
-  // Place a small blocker strictly between two stations of a track on
-  // layer 0 (stations are neighbour-layer track coordinates, 100 apart);
-  // it must set the gap bit without necessarily blocking the stations.
+  // A small blocker midway between two stations of a layer-0 track leaves
+  // both stations free; only the gap bit of the left one flags the edge.
+  chip_ = wide_station_chip();
+  rs_ = std::make_unique<RoutingSpace>(chip_);
   const auto& tracks = rs_->tg().tracks(0);
   const auto& stations = rs_->tg().stations(0);
-  ASSERT_GT(tracks.size(), 30u);
-  ASSERT_GT(stations.size(), 31u);
-  const int ti = 30;
-  const int si = 30;
+  const int ti = static_cast<int>(tracks.size() / 2);
+  const int si = static_cast<int>(stations.size() / 2);
+  const Coord x0 = stations[static_cast<std::size_t>(si)];
+  const Coord x1 = stations[static_cast<std::size_t>(si) + 1];
+  ASSERT_GE(x1 - x0, 400);
+  const Shape s =
+      small_blocker((x0 + x1) / 2, tracks[static_cast<std::size_t>(ti)]);
+  rs_->insert_shape(s, kFixed);
+  const std::uint64_t w = rs_->fast().word(0, ti, si);
+  EXPECT_EQ(FastGrid::wiring_field(w, 0, FastGrid::kWireF), FastGrid::kFree);
+  EXPECT_EQ(FastGrid::wiring_field(rs_->fast().word(0, ti, si + 1), 0,
+                                   FastGrid::kWireF),
+            FastGrid::kFree);
+  EXPECT_TRUE(FastGrid::gap_bit(w, 0));
+  EXPECT_FALSE(FastGrid::gap_bit(rs_->fast().word(0, ti, si - 1), 0));
+  EXPECT_FALSE(FastGrid::gap_bit(rs_->fast().word(0, ti, si + 1), 0));
+  EXPECT_EQ(fast_vs_naive(*rs_), "");
+  // Removing the blocker clears the bit again.
+  rs_->remove_shape(s, kFixed);
+  EXPECT_FALSE(FastGrid::gap_bit(rs_->fast().word(0, ti, si), 0));
+  EXPECT_EQ(fast_vs_naive(*rs_), "");
+}
+
+/// Incremental == oracle where refreshes must set and clear gap bits: on
+/// the wide-station deck a fixed small blocker sits between stations si and
+/// si+1, and a second one is inserted and removed every 50 dbu along the
+/// same track towards it.  Some of these refresh windows end exactly at
+/// station si, the gap's left vertex, so the bit must be re-set there from
+/// a run just past the window's right edge; every removal must clear the
+/// probe's own gap bits.
+TEST_F(FastGridTest, GapBitsIncrementalMatchOracle) {
+  chip_ = wide_station_chip();
+  rs_ = std::make_unique<RoutingSpace>(chip_);
+  const auto& tracks = rs_->tg().tracks(0);
+  const auto& stations = rs_->tg().stations(0);
+  const int ti = static_cast<int>(tracks.size() / 2);
+  const int si = static_cast<int>(stations.size() / 2);
   const Coord y = tracks[static_cast<std::size_t>(ti)];
   const Coord x0 = stations[static_cast<std::size_t>(si)];
   const Coord x1 = stations[static_cast<std::size_t>(si) + 1];
-  if (x1 - x0 < 90) GTEST_SKIP() << "stations too close for this scene";
-  // Tiny blocker centred between the stations, same track line.
-  const Coord mid = (x0 + x1) / 2;
-  Shape s{Rect{mid - 2, y - 10, mid + 2, y + 10}, global_of_wiring(0),
-          ShapeKind::kBlockage, 0, -1};
-  rs_->insert_shape(s, kFixed);
-  const std::uint64_t w = rs_->fast().word(0, ti, si);
-  // Either the station itself got blocked (blocker reach) or the gap bit is
-  // set — the edge must NOT look silently usable.
-  const bool station_blocked =
-      FastGrid::wiring_field(w, 0, FastGrid::kWireF) != FastGrid::kFree;
-  EXPECT_TRUE(station_blocked || FastGrid::gap_bit(w, 0));
+  const Shape fixed = small_blocker((x0 + x1) / 2, y);
+  rs_->insert_shape(fixed, kFixed);
+  ASSERT_TRUE(FastGrid::gap_bit(rs_->fast().word(0, ti, si), 0));
+  for (Coord x = x0 - 2000; x < x0; x += 50) {
+    const Shape probe = small_blocker(x, y);
+    rs_->insert_shape(probe, kStandard);
+    ASSERT_EQ(fast_vs_naive(*rs_), "") << "probe inserted at x=" << x;
+    rs_->remove_shape(probe, kStandard);
+    ASSERT_EQ(fast_vs_naive(*rs_), "") << "probe removed at x=" << x;
+  }
+  EXPECT_TRUE(FastGrid::gap_bit(rs_->fast().word(0, ti, si), 0));
+  rs_->remove_shape(fixed, kFixed);
+  EXPECT_EQ(fast_vs_naive(*rs_), "");
+  EXPECT_FALSE(FastGrid::gap_bit(rs_->fast().word(0, ti, si), 0));
 }
 
 /// Incremental consistency: a sequence of single and batched inserts and
@@ -224,15 +287,6 @@ TEST_F(FastGridTest, IncrementalMatchesRebuild) {
   fast3.rebuild();
   expect_naive(rs_->fast(), "rebuild, 2 wiretypes");
   expect_naive(fast3, "rebuild, 3 wiretypes");
-}
-
-/// All-words comparison of the incremental state against the oracle (what
-/// RoutingSpace::check_invariants runs); "" on agreement.
-std::string fast_vs_naive(const RoutingSpace& rs) {
-  std::string why;
-  const std::size_t diffs = fastgrid_diff_vs_naive(
-      rs.fast(), rs.chip().tech, rs.tg(), rs.checker(), &why);
-  return diffs == 0 ? std::string() : why;
 }
 
 // Regression (fuzzer find, shrunk from seed 1): ripup must be a per-shape

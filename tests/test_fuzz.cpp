@@ -76,7 +76,7 @@ TEST(Fuzz, CampaignWithoutEcoOrDrcIsClean) {
 TEST(Fuzz, ScriptRoundTrip) {
   FuzzParams p;
   p.seed = 42;
-  p.steps = 3;
+  p.steps = 4;
   p.check_every = 2;
   p.full_check_every = 7;
   p.with_eco = false;
@@ -84,6 +84,7 @@ TEST(Fuzz, ScriptRoundTrip) {
   p.layers = 5;
   std::vector<FuzzOp> ops;
   ops.push_back({FuzzOp::Kind::kCommitPath, 1, 2, 3, 4});
+  ops.push_back({FuzzOp::Kind::kHold, 5, 6, 7, 8});
   ops.push_back({FuzzOp::Kind::kEcoReroute, 0xffffffffffffffffULL, 0, 7, 9});
   ops.push_back({FuzzOp::Kind::kTxnRollback, 0, 0, 0, 0});
 

@@ -1,5 +1,6 @@
 // RoutingTransaction: journaled mutations, rollback bit-identity, nesting
-// with Reservation, stable path ids, and the incremental (ECO) entry point.
+// (the §4.4 search hold included), stable path ids, and the incremental
+// (ECO) entry point.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,6 +11,7 @@
 #include "src/db/instance_gen.hpp"
 #include "src/detailed/net_router.hpp"
 #include "src/detailed/transaction.hpp"
+#include "src/fastgrid/oracle.hpp"
 #include "src/router/bonnroute.hpp"
 #include "src/util/rng.hpp"
 #include "src/util/undo_log.hpp"
@@ -115,58 +117,6 @@ TEST(UndoLog, Basics) {
   ASSERT_EQ(trace.size(), 1u);
 }
 
-// ------------------------------------------------------- Reservation ------
-
-TEST(Reservation, MovableAndRestoresOnDestruction) {
-  const Chip chip = make_tiny_chip(4);
-  RoutingSpace rs(chip);
-  rs.commit_path(make_path(0, 300, 900, 1200));
-  const SpaceSnapshot before = snapshot(rs);
-
-  std::vector<Shape> shapes;
-  for (const RoutedPath& p : rs.paths(0)) {
-    for (const Shape& s : expand_path(p, chip.tech)) shapes.push_back(s);
-  }
-  {
-    // Build in a helper scope and move — the old copy-deleted-only type
-    // could not be returned from factories.
-    auto make_hold = [&]() {
-      RoutingSpace::Reservation r(rs, shapes, kStandard);
-      return r;
-    };
-    RoutingSpace::Reservation held = make_hold();
-    EXPECT_TRUE(held.active());
-    EXPECT_NE(snapshot(rs), before);  // shapes are out
-
-    RoutingSpace::Reservation moved = std::move(held);
-    EXPECT_FALSE(held.active());
-    EXPECT_TRUE(moved.active());
-    EXPECT_NE(snapshot(rs), before);  // still out: exactly one owner
-  }
-  EXPECT_EQ(snapshot(rs), before);  // destruction restored the shapes
-}
-
-TEST(Reservation, MoveAssignReleasesPreviousHold) {
-  const Chip chip = make_tiny_chip(4);
-  RoutingSpace rs(chip);
-  const SpaceSnapshot empty = snapshot(rs);
-  const Shape a = make_wire_shape(300, 700, 900, 0, 1);
-  const Shape b = make_wire_shape(300, 1900, 900, 0, 2);
-  rs.insert_shape(a, kStandard);
-  rs.insert_shape(b, kStandard);
-  const SpaceSnapshot both = snapshot(rs);
-
-  RoutingSpace::Reservation ra(rs, {a}, kStandard);
-  RoutingSpace::Reservation rb(rs, {b}, kStandard);
-  ra = std::move(rb);  // must restore `a` first, then own only `b`
-  EXPECT_FALSE(rb.active());
-  ra.release();
-  EXPECT_EQ(snapshot(rs), both);
-  rs.remove_shape(a, kStandard);
-  rs.remove_shape(b, kStandard);
-  EXPECT_EQ(snapshot(rs), empty);
-}
-
 // --------------------------------------------------- stable path ids ------
 
 TEST(StablePathIds, RemovalDoesNotShiftRemainingIds) {
@@ -244,15 +194,19 @@ TEST_P(RollbackBitIdentical, RestoresGridFastGridAndPaths) {
           });
           break;
         }
-        case 3: {  // raw shape batch + a nested Reservation
+        case 3: {  // raw shape batch + a nested hold transaction
           const Shape s = make_wire_shape(rng.range(200, 3000),
                                           300 + 80 * rng.range(0, 40),
                                           rng.range(3000, 3800),
                                           static_cast<int>(rng.range(0, 3)),
                                           static_cast<int>(rng.range(0, 4)));
           rs.insert_shape(s, kStandard);
-          RoutingSpace::Reservation hold(rs, {s}, kStandard);
-          break;  // reservation restores inside the txn
+          const std::size_t entries = txn.journal_size();
+          RoutingTransaction hold(rs);
+          rs.remove_shape(s, kStandard);
+          hold.rollback();  // the hold leaves nothing in the outer journal
+          EXPECT_EQ(txn.journal_size(), entries);
+          break;
         }
       }
     }
@@ -416,19 +370,42 @@ TEST(Eco, UntouchedNetsKeepPriorWiring) {
   }
 }
 
-// ------------------------------- reservations × ECO × rollback property ---
+// ------------------------------------- holds × ECO × rollback property ---
 
-/// Satellite property test of the correctness harness: random sequences
-/// mixing Reservations with ECO reroutes and transaction rollback must keep
-/// every cross-structure invariant (shape grid canonical form, fast-grid
-/// incremental == naive recomputation, recorded-path/id bookkeeping) intact
-/// at every boundary — including *while* shapes are held out by a live
-/// Reservation, which the audit must not misread as "recorded path missing
-/// from the grid".
-class ReservationEcoInvariants : public ::testing::TestWithParam<std::uint64_t> {
+/// The shapes NetRouter holds out of the space for a search of `net`
+/// (§4.4): its pins at kFixed and its recorded wiring at its own level.
+struct HoldShapes {
+  std::vector<Shape> pins;
+  std::vector<Shape> wiring;
 };
 
-TEST_P(ReservationEcoInvariants, HoldAcrossBoundariesStaysConsistent) {
+HoldShapes hold_shapes(const RoutingSpace& rs, int net) {
+  HoldShapes h{rs.chip().pin_shapes(net), {}};
+  for (const RoutedPath& p : rs.paths(net)) {
+    for (const Shape& s : expand_path(p, rs.chip().tech)) h.wiring.push_back(s);
+  }
+  return h;
+}
+
+/// Arms the transaction-boundary audit for one test.
+struct AuditArmed {
+  AuditArmed() { RoutingSpace::set_audit_for_testing(1); }
+  ~AuditArmed() { RoutingSpace::set_audit_for_testing(-1); }
+};
+
+/// Property test of the correctness harness: random sequences mixing §4.4
+/// search holds with ECO reroutes and transaction rollback must keep every
+/// cross-structure invariant (shape grid canonical form, fast-grid
+/// incremental == naive recomputation, recorded-path/id bookkeeping) at
+/// every step boundary.  Each hold opens and rolls back within its step,
+/// as the search's does: a nested transaction removes one net's pins and
+/// wiring, the fast grid must match the oracle while they are out, and the
+/// rollback restores the space bit-identically without adding to the
+/// enclosing transaction's journal.
+class HoldEcoInvariants : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(HoldEcoInvariants, HoldsRollBackWithinEachStep) {
+  const AuditArmed audit;
   ChipParams cp;
   cp.layers = 4;
   cp.tiles_x = 2;
@@ -457,11 +434,10 @@ TEST_P(ReservationEcoInvariants, HoldAcrossBoundariesStaysConsistent) {
     rs.load_result(out);
     ASSERT_TRUE(rs.check_invariants(&why)) << "after ECO: " << why;
 
-    // A transaction mixing commits with reservations of recorded wiring.
+    // A transaction mixing commits and path removals with holds.
     const SpaceSnapshot before = snapshot(rs);
     {
       RoutingTransaction txn(rs);
-      std::vector<RoutingSpace::Reservation> holds;
       for (int step = 0; step < 12; ++step) {
         const int net = static_cast<int>(rng.below(nets));
         switch (rng.below(3)) {
@@ -473,26 +449,33 @@ TEST_P(ReservationEcoInvariants, HoldAcrossBoundariesStaysConsistent) {
             break;
           }
           case 1: {
-            if (rs.paths(net).empty()) break;
-            std::vector<Shape> shapes;
-            for (const Shape& s :
-                 expand_path(rs.paths(net).front(), chip.tech)) {
-              shapes.push_back(s);
-            }
-            holds.emplace_back(rs, std::move(shapes), rs.net_level(net));
+            const HoldShapes h = hold_shapes(rs, net);
+            const SpaceSnapshot held_from = snapshot(rs);
+            const std::size_t entries = txn.journal_size();
+            RoutingTransaction hold(rs);
+            rs.remove_shapes(h.pins, kFixed);
+            rs.remove_shapes(h.wiring, rs.net_level(net));
+            EXPECT_EQ(fastgrid_diff_vs_naive(rs.fast(), chip.tech, rs.tg(),
+                                             rs.checker(), &why),
+                      0u)
+                << "round " << round << " step " << step << " inside hold: "
+                << why;
+            hold.rollback();  // audited: a transaction boundary
+            ASSERT_EQ(snapshot(rs), held_from)
+                << "round " << round << " step " << step
+                << ": hold rollback not bit-identical";
+            EXPECT_EQ(txn.journal_size(), entries);
             break;
           }
           default: {
-            if (!holds.empty()) holds.pop_back();  // restore via destructor
+            if (rs.path_ids(net).empty()) break;
+            rs.remove_recorded_by_id(net, rs.path_ids(net).front());
             break;
           }
         }
-        // The audit must hold even while reservations are live.
         ASSERT_TRUE(rs.check_invariants(&why))
             << "round " << round << " step " << step << ": " << why;
       }
-      holds.clear();  // all reservations restore inside the transaction
-      EXPECT_EQ(rs.reserved_shape_count(), 0u);
       txn.rollback();
     }
     ASSERT_EQ(snapshot(rs), before) << "rollback not bit-identical";
@@ -500,8 +483,28 @@ TEST_P(ReservationEcoInvariants, HoldAcrossBoundariesStaysConsistent) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, ReservationEcoInvariants,
-                         ::testing::Values(3, 11));
+INSTANTIATE_TEST_SUITE_P(Seeds, HoldEcoInvariants, ::testing::Values(3, 11));
+
+/// The search hold leaves no trace in the caller's transaction: a
+/// route_net whose search fails adds no journal entry, no dirty region and
+/// no touched net, so an ECO collision sweep reads only wiring that changed.
+TEST(SearchHold, FailedSearchLeavesCallerTransactionEmpty) {
+  const Chip chip = make_tiny_chip(4);
+  RoutingSpace rs(chip);
+  NetRouter router(rs);
+  const SpaceSnapshot before = snapshot(rs);
+  NetRouteParams params;
+  params.search.max_pops = 1;
+  DetailedStats stats;
+  RoutingTransaction txn(rs);
+  EXPECT_FALSE(router.route_net(0, params, stats));
+  EXPECT_GT(stats.connections_failed, 0);
+  EXPECT_EQ(txn.journal_size(), 0u);
+  EXPECT_TRUE(txn.dirty().empty());
+  EXPECT_TRUE(txn.touched_nets().empty());
+  EXPECT_EQ(snapshot(rs), before);
+  txn.commit();
+}
 
 TEST(Eco, DeterministicAcrossThreadCounts) {
   const Chip chip = eco_chip();

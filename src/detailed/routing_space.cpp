@@ -51,6 +51,7 @@ void RoutingSpace::remove_shape(const Shape& s, RipupLevel level) {
 
 void RoutingSpace::insert_shapes(std::span<const Shape> shapes,
                                  RipupLevel level) {
+  if (shapes.empty()) return;  // nothing to journal or refresh
   if (RoutingTransaction* txn = RoutingTransaction::current(this))
     txn->note_shapes(/*inserted=*/true, shapes, level);
   for (const Shape& s : shapes) grid_->insert(s, level);
@@ -59,6 +60,7 @@ void RoutingSpace::insert_shapes(std::span<const Shape> shapes,
 
 void RoutingSpace::remove_shapes(std::span<const Shape> shapes,
                                  RipupLevel level) {
+  if (shapes.empty()) return;  // nothing to journal or refresh
   if (RoutingTransaction* txn = RoutingTransaction::current(this))
     txn->note_shapes(/*inserted=*/false, shapes, level);
   for (const Shape& s : shapes) grid_->remove(s, level);

@@ -126,7 +126,8 @@ class RoutingSpace {
   /// Raw shape-level mutation (kept consistent with the fast grid).
   void insert_shape(const Shape& s, RipupLevel level);
   void remove_shape(const Shape& s, RipupLevel level);
-  /// Batch variants: one journal entry, one fast-grid refresh.
+  /// Batch variants: one journal entry, one fast-grid refresh; an empty
+  /// list journals nothing.
   void insert_shapes(std::span<const Shape> shapes, RipupLevel level);
   void remove_shapes(std::span<const Shape> shapes, RipupLevel level);
 

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <numeric>
 #include <tuple>
+#include <utility>
 
 #include "src/util/assert.hpp"
 
@@ -38,6 +39,17 @@ bool unites(const Rect& a, const Rect& b) {
 void absorb(GridShape& earlier, const GridShape& later) {
   earlier.rect = earlier.rect.hull(later.rect);
   earlier.ripup = std::min(earlier.ripup, later.ripup);
+}
+
+/// A model's extent on a line's axes: along relative to the reference
+/// point, cross absolute on the line at `cross`.
+std::pair<Interval, Interval> line_extent(const WireModel& model,
+                                          bool line_horizontal, Coord cross) {
+  const Interval along = line_horizontal ? model.expand.x_iv()
+                                         : model.expand.y_iv();
+  const Interval cross_rel = line_horizontal ? model.expand.y_iv()
+                                             : model.expand.x_iv();
+  return {along, {cross + cross_rel.lo, cross + cross_rel.hi}};
 }
 
 /// Rip-up level of a blocking shape: pins and blockages are fixed; other
@@ -146,24 +158,27 @@ Coord DrcChecker::required_between(const Shape& cand,
   return vl.cut_spacing;
 }
 
-PlacementCheck DrcChecker::check_shape(const Shape& cand) const {
-  queries_.fetch_add(1, std::memory_order_relaxed);
-  PlacementCheck result;
+Coord DrcChecker::window_margin(int global_layer) const {
+  if (is_wiring(global_layer))
+    return tech_->max_spacing(wiring_of_global(global_layer));
+  const ViaLayer& vl = tech_->via_layers[static_cast<std::size_t>(
+      via_of_global(global_layer))];
+  return std::max(vl.cut_spacing, vl.interlayer_spacing);
+}
 
-  Coord window_margin;
-  if (is_wiring(cand.global_layer)) {
-    window_margin = tech_->max_spacing(wiring_of_global(cand.global_layer));
-  } else {
-    const ViaLayer& vl = tech_->via_layers[static_cast<std::size_t>(
-        via_of_global(cand.global_layer))];
-    window_margin = std::max(vl.cut_spacing, vl.interlayer_spacing);
-  }
-  const Rect window = cand.rect.expanded(window_margin);
-
-  std::vector<GridShape> pieces;
-  grid_->query(cand.global_layer, window,
+void DrcChecker::merged_pieces(int global_layer, const Rect& window,
+                               std::vector<GridShape>& pieces) const {
+  pieces.clear();
+  grid_->query(global_layer, window,
                [&](const GridShape& gs) { pieces.push_back(gs); });
   detail::merge_pieces(pieces);
+}
+
+PlacementCheck DrcChecker::check_shape(const Shape& cand) const {
+  PlacementCheck result;
+  std::vector<GridShape> pieces;
+  merged_pieces(cand.global_layer,
+                cand.rect.expanded(window_margin(cand.global_layer)), pieces);
 
   for (const GridShape& gs : pieces) {
     if (gs.net >= 0 && gs.net == cand.net) continue;  // same-net exempt
@@ -198,51 +213,55 @@ PlacementCheck DrcChecker::check_via(const ViaStick& v, int net,
 std::vector<ForbiddenRun> DrcChecker::forbidden_runs(
     int global_layer, const WireModel& model, bool line_horizontal,
     Coord cross, Interval bound, int net, ShapeKind kind, bool swept) const {
-  queries_.fetch_add(1, std::memory_order_relaxed);
   std::vector<ForbiddenRun> runs;
   if (bound.empty()) return runs;
+  std::vector<GridShape> pieces;
+  merged_pieces(global_layer,
+                query_window(global_layer, model, line_horizontal, cross,
+                             bound, swept),
+                pieces);
+  append_runs(pieces, global_layer, model, line_horizontal, cross, bound, net,
+              kind, swept, runs);
+  return runs;
+}
 
-  // Model geometry, resolved to (along, cross) axes of the line.
-  const Interval m_along = line_horizontal ? model.expand.x_iv()
-                                           : model.expand.y_iv();
-  const Interval m_cross_rel = line_horizontal ? model.expand.y_iv()
-                                               : model.expand.x_iv();
-  const Interval m_cross{cross + m_cross_rel.lo, cross + m_cross_rel.hi};
-  const Coord m_width = std::min(m_along.length(), m_cross_rel.length());
-  const Coord m_along_len = m_along.length();
-
-  Coord window_margin;
+Rect DrcChecker::query_window(int global_layer, const WireModel& model,
+                              bool line_horizontal, Coord cross,
+                              Interval bound, bool swept) const {
+  const auto [m_along, m_cross] = line_extent(model, line_horizontal, cross);
+  const Coord margin = window_margin(global_layer);
   // A point placement's along-axis run-length is bounded by the neighbour's
-  // length (below), which the query window may clip.  Where that bound can
-  // reach a run-length threshold of the layer's rules, widen the window by
-  // the model's length on both sides: a clipped neighbour that can act on
+  // length (append_runs), which the query window may clip.  Where that bound
+  // can reach a run-length threshold of the layer's rules, widen the window
+  // by the model's length on both sides: a clipped neighbour that can act on
   // `bound` then keeps at least that length, so min(model, neighbour) — and
   // the answer — no longer depends on the window.
   Coord along_ext = 0;
-  const bool on_wiring = is_wiring(global_layer);
-  if (on_wiring) {
-    const int w = wiring_of_global(global_layer);
-    window_margin = tech_->max_spacing(w);
-    if (!swept && m_along_len >= tech_->min_prl_threshold(w))
-      along_ext = m_along_len;
-  } else {
-    const ViaLayer& vl = tech_->via_layers[static_cast<std::size_t>(
-        via_of_global(global_layer))];
-    window_margin = std::max(vl.cut_spacing, vl.interlayer_spacing);
+  if (!swept && is_wiring(global_layer) &&
+      m_along.length() >=
+          tech_->min_prl_threshold(wiring_of_global(global_layer))) {
+    along_ext = m_along.length();
   }
+  const Interval w_along{bound.lo + m_along.lo - margin - along_ext,
+                         bound.hi + m_along.hi + margin + along_ext};
+  const Interval w_cross = m_cross.expanded(margin);
+  return line_horizontal ? Rect{w_along.lo, w_cross.lo, w_along.hi, w_cross.hi}
+                         : Rect{w_cross.lo, w_along.lo, w_cross.hi, w_along.hi};
+}
 
-  const Interval w_along{bound.lo + m_along.lo - window_margin - along_ext,
-                         bound.hi + m_along.hi + window_margin + along_ext};
-  const Interval w_cross = m_cross.expanded(window_margin);
-  const Rect window = line_horizontal
-                          ? Rect{w_along.lo, w_cross.lo, w_along.hi, w_cross.hi}
-                          : Rect{w_cross.lo, w_along.lo, w_cross.hi, w_along.hi};
+void DrcChecker::append_runs(std::span<const GridShape> pieces,
+                             int global_layer, const WireModel& model,
+                             bool line_horizontal, Coord cross, Interval bound,
+                             int net, ShapeKind kind, bool swept,
+                             std::vector<ForbiddenRun>& runs) const {
+  const auto [m_along, m_cross] = line_extent(model, line_horizontal, cross);
+  const Coord m_width = std::min(m_along.length(), m_cross.length());
+  const Coord m_along_len = m_along.length();
+  const bool on_wiring = is_wiring(global_layer);
 
-  std::vector<GridShape> pieces;
-  grid_->query(global_layer, window,
-               [&](const GridShape& gs) { pieces.push_back(gs); });
-  detail::merge_pieces(pieces);
-
+  // Every required spacing is at most window_margin, so a piece outside
+  // query_window(...) yields no run inside `bound`: pieces of a wider
+  // window change nothing but through the rects they merge into.
   for (const GridShape& gs : pieces) {
     if (gs.net >= 0 && gs.net == net) continue;
     const Interval g_along = line_horizontal ? gs.rect.x_iv() : gs.rect.y_iv();
@@ -285,7 +304,6 @@ std::vector<ForbiddenRun> DrcChecker::forbidden_runs(
     const Interval run = f.intersection(bound);
     if (!run.empty()) runs.push_back({run, gs.net, blocker_level(gs)});
   }
-  return runs;
 }
 
 }  // namespace bonn

@@ -9,8 +9,8 @@
 // is what the fast grid caches (§3.6).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "src/shapegrid/shape_grid.hpp"
@@ -69,6 +69,8 @@ class DrcChecker {
   ///  - `swept`: the model will be swept along the line (a wire), so the
   ///    run-length against parallel shapes must be assumed maximal
   ///    (conservative, §3.1); point placements use the model's own length.
+  /// The composition of the three steps below: query_window, merged_pieces
+  /// and append_runs.
   std::vector<struct ForbiddenRun> forbidden_runs(int global_layer,
                                                   const WireModel& model,
                                                   bool line_horizontal,
@@ -76,10 +78,28 @@ class DrcChecker {
                                                   int net, ShapeKind kind,
                                                   bool swept = false) const;
 
-  /// Total number of placement checks served (Fig. 4 statistics).
-  std::uint64_t query_count() const {
-    return queries_.load(std::memory_order_relaxed);
-  }
+  /// Step 1: the shape-grid window a forbidden_runs call with these
+  /// arguments queries.  A piece outside it puts no run into `bound`: it
+  /// is `bound` plus the model's extent plus the layer's largest spacing,
+  /// and for a point placement long enough to reach a run-length threshold
+  /// also the model's length along the line (window independence, DESIGN
+  /// §4).
+  Rect query_window(int global_layer, const WireModel& model,
+                    bool line_horizontal, Coord cross, Interval bound,
+                    bool swept) const;
+  /// Step 2: the pieces of `global_layer` meeting `window`, merged back into
+  /// maximal rects (detail::merge_pieces); `pieces` is overwritten.
+  void merged_pieces(int global_layer, const Rect& window,
+                     std::vector<GridShape>& pieces) const;
+  /// Step 3: the forbidden runs of one model against a merged piece list,
+  /// appended to `runs`.  The pieces may come from a window larger than
+  /// query_window(...) of the same arguments: a piece outside that window
+  /// adds no run, and the rects it merges into differ only beyond it, where
+  /// window independence keeps the answer forbidden_runs gives.
+  void append_runs(std::span<const GridShape> pieces, int global_layer,
+                   const WireModel& model, bool line_horizontal, Coord cross,
+                   Interval bound, int net, ShapeKind kind, bool swept,
+                   std::vector<ForbiddenRun>& runs) const;
 
   const Tech& tech() const { return *tech_; }
 
@@ -87,10 +107,12 @@ class DrcChecker {
   /// Required spacing between the candidate and a grid shape on a wiring or
   /// via layer.
   Coord required_between(const Shape& cand, const GridShape& gs) const;
+  /// The largest spacing any rule of `global_layer` requires: how far past a
+  /// candidate a query must look.
+  Coord window_margin(int global_layer) const;
 
   const Tech* tech_;
   const ShapeGrid* grid_;
-  mutable std::atomic<std::uint64_t> queries_{0};
 };
 
 namespace detail {

@@ -100,17 +100,23 @@ struct FastGrid::Job {
   int tlo = 0, thi = -1;  ///< tracks the job covers
 };
 
-bool FastGrid::place_job(int w, const Rect& region, Coord spacing,
-                         bool past_edge, Job& j) const {
+bool FastGrid::place_job(int w, int g, const Rect& region, bool past_edge,
+                         Job& j) const {
   const bool horiz = tech_->pref(w) == Dir::kHorizontal;
   const Interval reg_along = horiz ? region.x_iv() : region.y_iv();
   const Interval reg_cross = horiz ? region.y_iv() : region.x_iv();
   const auto& stations = tg_->stations(w);
   const int num_st = static_cast<int>(stations.size());
-  const Interval m_along = horiz ? j.model.expand.x_iv() : j.model.expand.y_iv();
-  const Interval m_cross = horiz ? j.model.expand.y_iv() : j.model.expand.x_iv();
-  const Coord reach_cross = std::max(-m_cross.lo, m_cross.hi) + spacing;
-  const Coord reach_along = std::max(-m_along.lo, m_along.hi) + spacing;
+  // A change in `region` reaches the stations and tracks whose query window
+  // meets it.  The window of a reference point at the origin, mirrored,
+  // gives that reach, so it covers whatever the checker widens the window
+  // by.
+  const Rect origin = checker_->query_window(g, j.model, horiz, /*cross=*/0,
+                                             /*bound=*/{0, 0}, j.swept);
+  const Interval o_along = horiz ? origin.x_iv() : origin.y_iv();
+  const Interval o_cross = horiz ? origin.y_iv() : origin.x_iv();
+  const Coord reach_cross = std::max(-o_cross.lo, o_cross.hi);
+  const Coord reach_along = std::max(-o_along.lo, o_along.hi);
   Interval bound = reg_along.expanded(reach_along);
   auto [slo, shi] = tg_->station_range(w, bound);
   // The range may be empty (shi < slo) when the reach window lies strictly
@@ -150,7 +156,7 @@ void FastGrid::recompute_wiring(int w, const Rect& region) {
       j.off = k * 13 + f * 3;
       j.swept = f == kWireF;
       if (j.swept) j.gap = std::uint64_t(1) << (k * 13 + 12);
-      if (place_job(w, region, tech_->max_spacing(w), /*past_edge=*/true, j))
+      if (place_job(w, global_of_wiring(w), region, /*past_edge=*/true, j))
         jobs.push_back(j);
     }
   }
@@ -160,8 +166,6 @@ void FastGrid::recompute_wiring(int w, const Rect& region) {
 void FastGrid::recompute_via(int v, const Rect& region) {
   const int w = v;  // lattice of the lower wiring layer
   if (tg_->tracks(w).empty()) return;
-  const ViaLayer& vl = tech_->via_layers[static_cast<std::size_t>(v)];
-  const Coord spacing = std::max(vl.cut_spacing, vl.interlayer_spacing);
   std::vector<Job> jobs;
   for (int k = 0; k < cached_; ++k) {
     for (int f = 0; f < 2; ++f) {
@@ -177,7 +181,7 @@ void FastGrid::recompute_via(int v, const Rect& region) {
         j.kind = ShapeKind::kViaProj;
       }
       j.off = k * 6 + f * 3;
-      if (place_job(w, region, spacing, /*past_edge=*/false, j))
+      if (place_job(w, global_of_via(v), region, /*past_edge=*/false, j))
         jobs.push_back(j);
     }
   }
@@ -200,19 +204,28 @@ void FastGrid::recompute_tracks(bool via, int layer,
     thi = std::max(thi, j.thi);
   }
   std::vector<std::uint64_t> buf;
+  std::vector<GridShape> pieces;
+  std::vector<ForbiddenRun> runs;
   for (int ti = tlo; ti <= thi; ++ti) {
-    // The track's window: the hull of its covering jobs' station windows.
+    const Coord cross = tracks[static_cast<std::size_t>(ti)];
+    // The track's window: the hull of its covering jobs' station windows,
+    // and the hull of their query windows, which one shape-grid query
+    // serves for every job.
     int lo = num_st, hi = -1;
+    Rect window;
     for (const Job& j : jobs) {
       if (ti < j.tlo || ti > j.thi) continue;
       lo = std::min(lo, j.slo);
       hi = std::max(hi, j.shi);
+      window = window.hull(
+          checker_->query_window(g, j.model, horiz, cross, j.qbound, j.swept));
     }
     if (lo > hi) continue;
     auto& map = maps[static_cast<std::size_t>(ti)];
-    // Exclusive over the whole load + reapply + write so readers of this
-    // track never observe a half-refreshed window.
+    // Exclusive over the whole load + query + reapply + write so readers of
+    // this track never observe a half-refreshed window.
     auto lk = write_guard(shard(via, layer, ti));
+    checker_->merged_pieces(g, window, pieces);
     buf.resize(static_cast<std::size_t>(hi - lo + 1));
     map.for_each(lo, hi + 1, [&](Coord a, Coord b, const std::uint64_t& v) {
       std::fill(buf.begin() + (a - lo), buf.begin() + (b - lo), v);
@@ -228,10 +241,13 @@ void FastGrid::recompute_tracks(bool via, int layer,
       const std::uint64_t field = kFieldMask << j.off;
       // Reset this field (and the gap bit) to free on the job's window...
       for (int s = j.slo; s <= j.shi; ++s) at(s) = (at(s) | field) & ~j.gap;
-      // ...then lower it to every blocker's ripup level.
-      const auto runs = checker_->forbidden_runs(
-          g, j.model, horiz, tracks[static_cast<std::size_t>(ti)], j.qbound,
-          /*net=*/-3, j.kind, j.swept);
+      // ...then lower it to every blocker's ripup level.  A merged rect of
+      // the shared window differs from the job's own only beyond the job's
+      // query window, where the checker's answer does not depend on it
+      // (window independence, DESIGN §4).
+      runs.clear();
+      checker_->append_runs(pieces, g, j.model, horiz, cross, j.qbound,
+                            /*net=*/-3, j.kind, j.swept, runs);
       for (const ForbiddenRun& run : runs) {
         const auto [alo, ahi] = tg_->station_range(w, run.along);
         if (alo > ahi) {

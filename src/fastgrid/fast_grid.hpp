@@ -182,14 +182,18 @@ class FastGrid {
   /// what it asks the checker, and which stations and tracks it rewrites.
   struct Job;
   /// Set j's station window, forbidden_runs bound and track range for a
-  /// refresh of `region` on lattice layer w, whose rules reach `spacing`
-  /// past a model; false when no station is affected.  `past_edge` extends
-  /// the bound one station right of the window (wiring layers' gap bits).
-  bool place_job(int w, const Rect& region, Coord spacing, bool past_edge,
+  /// refresh of `region` on global layer g, whose stations and tracks lie
+  /// on lattice layer w: every station whose checker query window
+  /// (DrcChecker::query_window) meets `region`; false when there is none.
+  /// `past_edge` extends the bound one station right of the window (wiring
+  /// layers' gap bits).
+  bool place_job(int w, int g, const Rect& region, bool past_edge,
                  Job& j) const;
   /// Run a layer's jobs track by track: each affected track is read once,
-  /// every covering job is applied to a word buffer, and the buffer is
-  /// written back in one splice.
+  /// the shape grid is queried once over the hull of the covering jobs'
+  /// query windows, every covering job is applied to a word buffer from
+  /// that one merged piece list, and the buffer is written back in one
+  /// splice.
   void recompute_tracks(bool via, int layer, std::span<const Job> jobs);
 
   /// Models for a (wiretype, field) on wiring layer w; returns whether the

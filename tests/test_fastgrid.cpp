@@ -234,6 +234,58 @@ TEST_F(FastGridTest, GapBitsIncrementalMatchOracle) {
   EXPECT_FALSE(FastGrid::gap_bit(rs_->fast().word(0, ti, si), 0));
 }
 
+/// Regression: the checker widens a long point model's query window by the
+/// model's length, and a refresh must reach every station whose window
+/// meets the change.  The power wiretype's layer-0 via-bottom pad is 480
+/// long against the 400 run-length rule.  Blockage G, 350 long, leaves the
+/// pad at the station free: run-length 350 needs spacing 100, and the
+/// diagonal gap is 134.  S abuts G, and their 700-long union needs 160.  S
+/// starts 650 along from the station: past the model's extent plus the
+/// spacing and two stations, but inside the widened window.
+TEST_F(FastGridTest, RefreshReachCoversLongPadWindowWidening) {
+  chip_.blockages.clear();
+  rs_ = std::make_unique<RoutingSpace>(chip_);
+  FastGrid fast3(chip_.tech, rs_->tg(), rs_->checker(), /*max_cached=*/3);
+  fast3.rebuild();
+  const TrackVertex v = rs_->tg().nearest_vertex(0, {500, 2000});
+  ASSERT_TRUE(v.valid());
+  const Point p = rs_->tg().vertex_pt(v);
+  ASSERT_EQ(p.x, 525);
+  ASSERT_EQ(p.y, 2025);
+  const Shape g{Rect{p.x + 300, p.y + 280, p.x + 650, p.y + 340},
+                global_of_wiring(0), ShapeKind::kBlockage, 0, -1};
+  const Shape s{Rect{p.x + 650, p.y + 280, p.x + 1000, p.y + 340},
+                global_of_wiring(0), ShapeKind::kBlockage, 0, -1};
+  auto change = [&](const Shape& shape, bool insert) {
+    if (insert) {
+      rs_->insert_shape(shape, kFixed);
+    } else {
+      rs_->remove_shape(shape, kFixed);
+    }
+    fast3.on_change(shape);
+  };
+  auto power_via_bottom = [&] {
+    return FastGrid::wiring_field(fast3.word(0, v.track, v.station),
+                                  /*wt=*/2, FastGrid::kViaBotF);
+  };
+  auto diffs = [&] {
+    std::string why;
+    return fastgrid_diff_vs_naive(fast3, chip_.tech, rs_->tg(),
+                                  rs_->checker(), &why) == 0
+               ? std::string()
+               : why;
+  };
+  change(g, /*insert=*/true);
+  EXPECT_EQ(power_via_bottom(), FastGrid::kFree);
+  EXPECT_EQ(diffs(), "");
+  change(s, /*insert=*/true);
+  EXPECT_EQ(power_via_bottom(), 0);
+  EXPECT_EQ(diffs(), "");
+  change(s, /*insert=*/false);
+  EXPECT_EQ(power_via_bottom(), FastGrid::kFree);
+  EXPECT_EQ(diffs(), "");
+}
+
 /// Incremental consistency: a sequence of single and batched inserts and
 /// removes, on wiring and via layers, leaves exactly the words of a full
 /// rebuild — both checked word by word against the oracle, for the space's

@@ -76,6 +76,30 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SearchDifferential,
                          ::testing::Values(101, 202, 303, 404, 505, 606));
 
 // ------------------------------------------------------------- fast grid --
+/// Every word of every wiring and via track against the oracle, which
+/// recomputes each station from the checker and shares no write path with
+/// the fast grid — for the space's fast grid and `fast3` (all three test
+/// wiretypes), before a rebuild and after it, so incremental words equal
+/// rebuilt ones.
+void expect_oracle_words_before_and_after_rebuild(RoutingSpace& rs,
+                                                  FastGrid& fast3) {
+  auto expect_naive = [&](const FastGrid& fast, const char* what) {
+    std::string why;
+    EXPECT_EQ(fastgrid_diff_vs_naive(fast, rs.chip().tech, rs.tg(),
+                                     rs.checker(), &why),
+              0u)
+        << what << "\n"
+        << why;
+    EXPECT_TRUE(fast.check_canonical(&why)) << what << "\n" << why;
+  };
+  expect_naive(rs.fast(), "incremental, 2 wiretypes");
+  expect_naive(fast3, "incremental, 3 wiretypes");
+  rs.mutable_fast().rebuild();
+  fast3.rebuild();
+  expect_naive(rs.fast(), "rebuild, 2 wiretypes");
+  expect_naive(fast3, "rebuild, 3 wiretypes");
+}
+
 class FastGridIncremental : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(FastGridIncremental, MatchesRebuild) {
@@ -126,29 +150,123 @@ TEST_P(FastGridIncremental, MatchesRebuild) {
             rs.remove_shapes(b, kStandard);
             fast3.on_change_all(b);
           });
-  // Every word of every wiring and via track against the oracle, which
-  // recomputes each station from the checker and shares no write path with
-  // the fast grid — before the rebuild and after it, so incremental words
-  // equal rebuilt ones.
-  auto expect_naive = [&](const FastGrid& fast, const char* what) {
-    std::string why;
-    EXPECT_EQ(fastgrid_diff_vs_naive(fast, chip.tech, rs.tg(), rs.checker(),
-                                     &why),
-              0u)
-        << what << "\n"
-        << why;
-    EXPECT_TRUE(fast.check_canonical(&why)) << what << "\n" << why;
-  };
-  expect_naive(rs.fast(), "incremental, 2 wiretypes");
-  expect_naive(fast3, "incremental, 3 wiretypes");
-  rs.mutable_fast().rebuild();
-  fast3.rebuild();
-  expect_naive(rs.fast(), "rebuild, 2 wiretypes");
-  expect_naive(fast3, "rebuild, 3 wiretypes");
+  expect_oracle_words_before_and_after_rebuild(rs, fast3);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FastGridIncremental,
                          ::testing::Values(11, 22, 33, 44));
+
+/// Incremental == oracle on same-key unions: overlapping pairs of shapes of
+/// one key (net, kind, class, rule width) whose union is an L, a T or a
+/// staircase, so the checker's merge joins cell pieces of different shapes
+/// and the merged rects depend on which pieces a query window holds.  A
+/// pair is pins of one net or blockages, both at kFixed, or one net's wires
+/// at kStandard.
+class FastGridUnions : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(FastGridUnions, SameKeyUnionsMatchOracle) {
+  Chip chip = make_tiny_chip(4);
+  RoutingSpace rs(chip);
+  FastGrid fast3(chip.tech, rs.tg(), rs.checker(), /*max_cached=*/3);
+  fast3.rebuild();
+  Rng rng(GetParam());
+  // One overlapping pair of rule width rw at (x, y): a bar of length a, and
+  // a bar of length b that crosses its end (L), its middle (T) or overlaps
+  // its end shifted sideways (staircase); mirrored onto the other axis when
+  // `transpose`.
+  auto pair = [&](int layer, ShapeKind kind, int net) {
+    const Coord rw = rng.flip(0.5) ? 60 : 130;
+    const Coord a = rng.range(3 * rw + 50, 900);
+    const Coord b = rng.range(rw + 100, 700);
+    const Coord x = rng.range(300, 2800);
+    const Coord y = rng.range(300, 2800);
+    Rect first{0, 0, a, rw};
+    Rect second;
+    switch (rng.below(3)) {
+      case 0:  // L: the second bar rises from the first one's left end
+        second = {0, 0, rw, b};
+        break;
+      case 1: {  // T: the second bar hangs from the first one's middle
+        const Coord c = rng.range(rw, a - 2 * rw);
+        second = {c, rw - b, c + rw, rw};
+        break;
+      }
+      default: {  // staircase: overlapping, shifted along and across
+        const Coord d = rng.range(20, a - 20);
+        const Coord e = rng.range(10, rw - 10);
+        second = {a - d, e, a - d + b, e + rw};
+        break;
+      }
+    }
+    const bool transpose = rng.flip(0.5);
+    std::vector<Shape> out;
+    for (const Rect& r : {first, second}) {
+      const Rect t = transpose ? Rect{r.ylo, r.xlo, r.yhi, r.xhi} : r;
+      out.push_back(Shape{t.translated(x, y), global_of_wiring(layer), kind,
+                          0, net});
+    }
+    return out;
+  };
+  struct Keyed {
+    Shape shape;
+    RipupLevel level;
+  };
+  std::vector<Keyed> all;
+  for (int i = 0; i < 16; ++i) {
+    ShapeKind kind = ShapeKind::kWire;
+    int net = 7;
+    RipupLevel level = kStandard;
+    switch (rng.below(3)) {
+      case 0:
+        kind = ShapeKind::kPin;
+        net = 3;
+        level = kFixed;
+        break;
+      case 1:
+        kind = ShapeKind::kBlockage;
+        net = -1;
+        level = kFixed;
+        break;
+      default:
+        break;
+    }
+    const int layer = static_cast<int>(rng.range(0, 3));
+    for (const Shape& s : pair(layer, kind, net)) all.push_back({s, level});
+  }
+  // Shuffled into batches of 1-4 shapes, so the two halves of a union
+  // usually change in different refreshes.  A batch is one insert_shapes
+  // (remove_shapes) call per rip-up level and one refresh of fast3.
+  auto batches = [&](std::span<const Keyed> list, bool insert) {
+    for (std::size_t i = 0; i < list.size();) {
+      const std::size_t n =
+          std::min<std::size_t>(list.size() - i, 1 + rng.below(4));
+      std::vector<Shape> changed;
+      for (const RipupLevel level : {kFixed, kStandard}) {
+        std::vector<Shape> part;
+        for (const Keyed& k : list.subspan(i, n)) {
+          if (k.level == level) part.push_back(k.shape);
+        }
+        if (insert) {
+          rs.insert_shapes(part, level);
+        } else {
+          rs.remove_shapes(part, level);
+        }
+        changed.insert(changed.end(), part.begin(), part.end());
+      }
+      fast3.on_change_all(changed);
+      i += n;
+    }
+  };
+  std::shuffle(all.begin(), all.end(), rng);
+  batches(all, /*insert=*/true);
+  std::shuffle(all.begin(), all.end(), rng);
+  batches(std::span<const Keyed>(all).first(all.size() / 2),
+          /*insert=*/false);
+  expect_oracle_words_before_and_after_rebuild(rs, fast3);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, FastGridUnions,
+                         ::testing::Range<std::uint64_t>(1, 41));
 
 // ----------------------------------------------------------- checker -----
 class ForbiddenRunsDifferential

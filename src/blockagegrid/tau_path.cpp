@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <climits>
 #include <cstdint>
-#include <limits>
+#include <memory>
 #include <queue>
 
 #include "src/util/assert.hpp"
@@ -11,8 +11,6 @@
 namespace bonn {
 
 namespace {
-
-constexpr Coord kInf = std::numeric_limits<Coord>::max() / 4;
 
 /// Directions a segment can be travelling in (numbered like
 /// BlockageTable::jump's compass); kFresh = no segment yet (source, or just
@@ -57,11 +55,15 @@ TauPathSearch::TauPathSearch(const Rect& area, std::vector<TauLayer> layers,
              std::max(area_.width(), area_.height()) <= kMaxArcCost / weight);
 }
 
-void TauPathSearch::run(const PointL& source, std::span<const PointL> targets,
-                        std::size_t max_results,
-                        std::vector<TauPathResult>& out) const {
-  out.clear();
-  if (!area_.contains(source.pt())) return;
+std::size_t TauPathSearch::each_path(
+    const PointL& source, std::span<const PointL> targets,
+    std::size_t max_results,
+    const std::function<bool(TauPathResult&&)>& on_path) const {
+  const int L = static_cast<int>(layers_.size());
+  if (source.layer < 0 || source.layer >= L || max_results == 0 ||
+      !area_.contains(source.pt())) {
+    return 0;
+  }
 
   // Build the blockage grid with source/targets as anchors.  τ of the grid
   // is the max over layers (denser grids remain correct for smaller τ).
@@ -76,13 +78,12 @@ void TauPathSearch::run(const PointL& source, std::span<const PointL> targets,
   const BlockageGrid grid = BlockageGrid::build(area_, all_obs, anchors, tau);
   const int nx = static_cast<int>(grid.xs.size());
   const int ny = static_cast<int>(grid.ys.size());
-  const int L = static_cast<int>(layers_.size());
-  if (nx == 0 || ny == 0) return;
-  std::vector<BlockageTable> tables;
-  tables.reserve(layers_.size());
-  for (const TauLayer& l : layers_) {
-    tables.emplace_back(grid, l.obstacles, l.tau);
-  }
+  if (nx == 0 || ny == 0) return 0;
+  const std::size_t num_cells = static_cast<std::size_t>(L) *
+                                static_cast<std::size_t>(nx) *
+                                static_cast<std::size_t>(ny);
+  const std::size_t num_states = num_cells * 5;
+  BONN_CHECK(num_states <= static_cast<std::size_t>(INT_MAX));
 
   auto x_index = [&](Coord c) {
     auto it = std::lower_bound(grid.xs.begin(), grid.xs.end(), c);
@@ -100,12 +101,45 @@ void TauPathSearch::run(const PointL& source, std::span<const PointL> targets,
     return ((l * ny + yi) * nx + xi) * 5 + d;
   };
 
-  const std::size_t num_states =
-      static_cast<std::size_t>(L) * static_cast<std::size_t>(nx) *
-      static_cast<std::size_t>(ny) * 5;
-  BONN_CHECK(num_states <= static_cast<std::size_t>(INT_MAX));
-  std::vector<Coord> dist(num_states, kInf);
-  std::vector<int> parent(num_states, -1);
+  const int sx = x_index(source.x);
+  const int sy = y_index(source.y);
+  if (sx < 0 || sy < 0) return 0;
+
+  // Targets: a bit per grid cell (layer, xi, yi) that holds one, and the
+  // wanted cells in target order, each answering for its first target.
+  struct Wanted {
+    int cell;
+    int target;
+    bool found;
+  };
+  std::vector<bool> target_cell(num_cells);
+  std::vector<Wanted> wanted;
+  for (std::size_t t = 0; t < targets.size(); ++t) {
+    const int tx = x_index(targets[t].x);
+    const int ty = y_index(targets[t].y);
+    if (tx < 0 || ty < 0 || targets[t].layer < 0 || targets[t].layer >= L) {
+      continue;
+    }
+    const int cell = (targets[t].layer * ny + ty) * nx + tx;
+    if (target_cell[static_cast<std::size_t>(cell)]) continue;
+    target_cell[static_cast<std::size_t>(cell)] = true;
+    wanted.push_back({cell, static_cast<int>(t), false});
+  }
+  if (wanted.empty()) return 0;
+
+  std::vector<BlockageTable> tables;
+  tables.reserve(layers_.size());
+  for (const TauLayer& l : layers_) {
+    tables.emplace_back(grid, l.obstacles, l.tau);
+  }
+
+  // Distances and parents are valid where `reached` is set and final where
+  // `settled` is; they start uninitialised, so a search pays time and
+  // resident memory for the states it reaches, not for the whole window.
+  const auto dist = std::make_unique_for_overwrite<Coord[]>(num_states);
+  const auto parent = std::make_unique_for_overwrite<int[]>(num_states);
+  std::vector<bool> reached(num_states);
+  std::vector<bool> settled(num_states);
 
   auto weight = [&](int layer, bool horizontal_move) {
     const bool pref_move =
@@ -115,57 +149,31 @@ void TauPathSearch::run(const PointL& source, std::span<const PointL> targets,
   };
 
   std::priority_queue<HeapKey, std::vector<HeapKey>, LaterKey> pq;
-
-  const int sx = x_index(source.x);
-  const int sy = y_index(source.y);
-  if (sx < 0 || sy < 0) return;
-  const int s_state = state_id(source.layer, sx, sy, kFresh);
-  dist[static_cast<std::size_t>(s_state)] = 0;
-  pq.push(heap_key(0, s_state));
-
-  // Target lookup: (layer, xi, yi) -> target index.
-  std::vector<int> target_of(static_cast<std::size_t>(L * nx * ny), -1);
-  int wanted = 0;
-  for (std::size_t t = 0; t < targets.size(); ++t) {
-    const int tx = x_index(targets[t].x);
-    const int ty = y_index(targets[t].y);
-    if (tx < 0 || ty < 0 || targets[t].layer < 0 || targets[t].layer >= L) {
-      continue;
-    }
-    auto& slot = target_of[static_cast<std::size_t>(
-        (targets[t].layer * ny + ty) * nx + tx)];
-    if (slot < 0) {
-      slot = static_cast<int>(t);
-      ++wanted;
-    }
-  }
-  std::vector<char> target_done(targets.size(), 0);
-  int found = 0;
-
+  auto reach = [&](int state, Coord d, int from) {
+    const auto s = static_cast<std::size_t>(state);
+    dist[s] = d;
+    parent[s] = from;
+    reached[s] = true;
+    pq.push(heap_key(d, state));
+  };
   auto relax = [&](int from, int to, Coord w) {
-    if (dist[static_cast<std::size_t>(to)] >
-        dist[static_cast<std::size_t>(from)] + w) {
-      dist[static_cast<std::size_t>(to)] =
-          dist[static_cast<std::size_t>(from)] + w;
-      parent[static_cast<std::size_t>(to)] = from;
-      pq.push(heap_key(dist[static_cast<std::size_t>(to)], to));
+    const Coord d = dist[static_cast<std::size_t>(from)] + w;
+    if (!reached[static_cast<std::size_t>(to)] ||
+        dist[static_cast<std::size_t>(to)] > d) {
+      reach(to, d, from);
     }
   };
+  reach(state_id(source.layer, sx, sy, kFresh), 0, -1);
 
-  auto settle_target = [&](int state, int l, int xi, int yi) {
-    const int t = target_of[static_cast<std::size_t>((l * ny + yi) * nx + xi)];
-    if (t < 0 || target_done[static_cast<std::size_t>(t)]) return;
-    target_done[static_cast<std::size_t>(t)] = 1;
-    ++found;
-    // Reconstruct.
+  // The path to a settled state, its collinear interior points on one layer
+  // dropped.
+  auto path_to = [&](int state, int target) {
     TauPathResult r;
-    r.target_index = t;
+    r.target_index = target;
     r.cost = dist[static_cast<std::size_t>(state)];
     std::vector<PointL> pts;
-    int cur = state;
-    while (cur >= 0) {
-      const int d = cur % 5;
-      (void)d;
+    for (int cur = state; cur >= 0;
+         cur = parent[static_cast<std::size_t>(cur)]) {
       const int cell = cur / 5;
       const int cxi = cell % nx;
       const int cyi = (cell / nx) % ny;
@@ -173,10 +181,8 @@ void TauPathSearch::run(const PointL& source, std::span<const PointL> targets,
       const PointL p{grid.xs[static_cast<std::size_t>(cxi)],
                      grid.ys[static_cast<std::size_t>(cyi)], cl};
       if (pts.empty() || !(pts.back() == p)) pts.push_back(p);
-      cur = parent[static_cast<std::size_t>(cur)];
     }
     std::reverse(pts.begin(), pts.end());
-    // Drop collinear interior points on the same layer.
     std::vector<PointL> simp;
     for (const PointL& p : pts) {
       while (simp.size() >= 2) {
@@ -194,25 +200,37 @@ void TauPathSearch::run(const PointL& source, std::span<const PointL> targets,
       r.length += l1_dist(simp[i - 1].pt(), simp[i].pt());
     }
     r.points = std::move(simp);
-    out.push_back(std::move(r));
+    return r;
   };
 
-  std::vector<char> settled(num_states, 0);
-  while (!pq.empty() && found < wanted &&
-         out.size() < max_results) {
+  std::size_t settles = 0;
+  std::size_t handed = 0;
+  while (!pq.empty()) {
     const int state = static_cast<int>(static_cast<std::uint32_t>(pq.top()));
     pq.pop();
     if (settled[static_cast<std::size_t>(state)]) continue;
-    settled[static_cast<std::size_t>(state)] = 1;
+    settled[static_cast<std::size_t>(state)] = true;
+    ++settles;
     const int dir = state % 5;
     const int cell = state / 5;
     const int xi = cell % nx;
     const int yi = (cell / nx) % ny;
     const int l = cell / (nx * ny);
+    if (target_cell[static_cast<std::size_t>(cell)]) {
+      Wanted& w = *std::find_if(
+          wanted.begin(), wanted.end(),
+          [&](const Wanted& x) { return x.cell == cell; });
+      if (!w.found) {
+        w.found = true;
+        ++handed;
+        if (!on_path(path_to(state, w.target)) || handed == max_results ||
+            handed == wanted.size()) {
+          return settles;
+        }
+      }
+    }
     const Point p{grid.xs[static_cast<std::size_t>(xi)],
                   grid.ys[static_cast<std::size_t>(yi)]};
-    settle_target(state, l, xi, yi);
-
     const BlockageTable& table = tables[static_cast<std::size_t>(l)];
 
     // Arc to grid point (nxi, nyi) on this layer, arriving in direction d.
@@ -264,21 +282,27 @@ void TauPathSearch::run(const PointL& source, std::span<const PointL> targets,
       relax(state, state_id(nl, xi, yi, kFresh), via_cost_);
     }
   }
+  return settles;
 }
 
 std::optional<TauPathResult> TauPathSearch::shortest(
     const PointL& source, std::span<const PointL> targets) const {
-  std::vector<TauPathResult> out;
-  run(source, targets, 1, out);
-  if (out.empty()) return std::nullopt;
-  return out.front();
+  std::optional<TauPathResult> out;
+  each_path(source, targets, 1, [&](TauPathResult&& r) {
+    out = std::move(r);
+    return false;
+  });
+  return out;
 }
 
 std::vector<TauPathResult> TauPathSearch::all_paths(
     const PointL& source, std::span<const PointL> targets,
     std::size_t max_results) const {
   std::vector<TauPathResult> out;
-  run(source, targets, max_results, out);
+  each_path(source, targets, max_results, [&](TauPathResult&& r) {
+    out.push_back(std::move(r));
+    return true;
+  });
   return out;
 }
 

@@ -12,6 +12,7 @@
 // per search.
 #pragma once
 
+#include <functional>
 #include <optional>
 #include <span>
 #include <vector>
@@ -49,20 +50,29 @@ class TauPathSearch {
   TauPathSearch(const Rect& area, std::vector<TauLayer> layers,
                 Coord via_cost, int nonpref_penalty_pct = 250);
 
+  /// The search (Dijkstra from `source`): hands each target's shortest path
+  /// to `on_path` in the order the targets are settled, cheapest first.  It
+  /// stops when `on_path` returns false, after `max_results` paths, or once
+  /// every target it can find is found.  Targets sharing a grid point are one
+  /// target, the first of them.  A target outside the area or on a layer the
+  /// search does not have is never found, and a source there finds nothing.
+  /// Returns the number of states the search settled.
+  std::size_t each_path(
+      const PointL& source, std::span<const PointL> targets,
+      std::size_t max_results,
+      const std::function<bool(TauPathResult&&)>& on_path) const;
+
   /// Shortest τ-feasible path from `source` to the closest target.
   std::optional<TauPathResult> shortest(const PointL& source,
                                         std::span<const PointL> targets) const;
 
   /// All targets reachable, each with its own shortest path, cheapest first,
-  /// at most `max_results` (used to build pin access catalogues, §4.3).
+  /// at most `max_results`.
   std::vector<TauPathResult> all_paths(const PointL& source,
                                        std::span<const PointL> targets,
                                        std::size_t max_results) const;
 
  private:
-  void run(const PointL& source, std::span<const PointL> targets,
-           std::size_t max_results, std::vector<TauPathResult>& out) const;
-
   Rect area_;
   std::vector<TauLayer> layers_;
   Coord via_cost_;

@@ -121,42 +121,48 @@ std::vector<AccessPath> PinAccess::catalogue(
   targets.reserve(cands.size());
   for (const Cand& c : cands) targets.push_back(c.local);
 
+  // Each path the search hands over is checked as it is found, and the
+  // search stops once the catalogue is full.  It is capped at twice the
+  // catalogue's size, so a catalogue holds the first `max_paths` paths that
+  // pass the check among the first 2 · `max_paths` found.
+  static obs::Counter& c_settles = obs::counter("access.tau_settles");
   TauPathSearch search(window, layers, params.via_cost);
   const PointL source{centre.x, centre.y, 0};
-  const auto results = search.all_paths(
-      source, targets, static_cast<std::size_t>(params.max_paths) * 2);
-
-  for (const TauPathResult& r : results) {
-    if (static_cast<int>(out.size()) >= params.max_paths) break;
-    AccessPath ap;
-    ap.path = polyline_to_path(r.points, l0, pin.net, params.wiretype);
-    ap.endpoint = cands[static_cast<std::size_t>(r.target_index)].vertex;
-    ap.cost = r.cost / 100;  // τ-search costs are scaled by 100
-    ap.length = r.length;
-    // Final DRC validation of the concrete shapes (τ blow-ups are
-    // conservative rectangles; the checker is authoritative).  Paths blocked
-    // only by rippable wiring are kept with a penalty — the ripup machinery
-    // can clear them (§4.2).
-    bool fixed_blocked = false;
-    bool needs_rip = false;
-    auto note = [&](const PlacementCheck& pc) {
-      if (pc.allowed) return;
-      if (pc.min_blocker_ripup == kFixed) {
-        fixed_blocked = true;
-      } else {
-        needs_rip = true;
-      }
-    };
-    for (const WireStick& w : ap.path.wires) {
-      note(rs_->checker().check_wire(w, pin.net, params.wiretype));
-    }
-    for (const ViaStick& v : ap.path.vias) {
-      note(rs_->checker().check_via(v, pin.net, params.wiretype));
-    }
-    if (fixed_blocked) continue;
-    if (needs_rip) ap.cost += 3000;
-    out.push_back(std::move(ap));
-  }
+  const std::size_t settles = search.each_path(
+      source, targets, static_cast<std::size_t>(params.max_paths) * 2,
+      [&](TauPathResult&& r) {
+        AccessPath ap;
+        ap.path = polyline_to_path(r.points, l0, pin.net, params.wiretype);
+        ap.endpoint = cands[static_cast<std::size_t>(r.target_index)].vertex;
+        ap.cost = r.cost / 100;  // τ-search costs are scaled by 100
+        ap.length = r.length;
+        // Final DRC validation of the concrete shapes (τ blow-ups are
+        // conservative rectangles; the checker is authoritative).  Paths
+        // blocked only by rippable wiring are kept with a penalty — the
+        // ripup machinery can clear them (§4.2).
+        bool fixed_blocked = false;
+        bool needs_rip = false;
+        auto note = [&](const PlacementCheck& pc) {
+          if (pc.allowed) return;
+          if (pc.min_blocker_ripup == kFixed) {
+            fixed_blocked = true;
+          } else {
+            needs_rip = true;
+          }
+        };
+        for (const WireStick& w : ap.path.wires) {
+          note(rs_->checker().check_wire(w, pin.net, params.wiretype));
+        }
+        for (const ViaStick& v : ap.path.vias) {
+          note(rs_->checker().check_via(v, pin.net, params.wiretype));
+        }
+        if (!fixed_blocked) {
+          if (needs_rip) ap.cost += 3000;
+          out.push_back(std::move(ap));
+        }
+        return static_cast<int>(out.size()) < params.max_paths;
+      });
+  c_settles.add(static_cast<std::int64_t>(settles));
 
   if (out.empty() && params.wiretype != 0) {
     // Wide wires rarely fit between row pins: taper to the standard wire

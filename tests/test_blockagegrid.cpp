@@ -207,6 +207,36 @@ TEST_F(TauPathTest, RejectsCostsTheHeapKeyCannotHold) {
                std::logic_error);
 }
 
+TEST_F(TauPathTest, SourceOnMissingLayerFindsNothing) {
+  // A source on a layer the search does not have (L or -1) finds nothing,
+  // as a target there does: no path and no callback.
+  TauLayer upper;
+  upper.tau = 100;
+  upper.pref = Dir::kVertical;
+  for (int num_layers : {1, 2}) {
+    SCOPED_TRACE(std::to_string(num_layers) + " layers");
+    std::vector<TauLayer> layers = one_layer({}, 100);
+    if (num_layers == 2) layers.push_back(upper);
+    const TauPathSearch search({0, 0, 1000, 1000}, layers, 400);
+    const std::vector<PointL> tgt{{900, 500, 0}, {500, 900, num_layers - 1}};
+    ASSERT_EQ(search.all_paths({100, 500, 0}, tgt, 8).size(), 2u);
+    for (int layer : {num_layers, -1}) {
+      SCOPED_TRACE("source layer " + std::to_string(layer));
+      const PointL src{100, 500, layer};
+      EXPECT_TRUE(search.all_paths(src, tgt, 8).empty());
+      EXPECT_FALSE(search.shortest(src, tgt).has_value());
+      int calls = 0;
+      EXPECT_EQ(search.each_path(src, tgt, 8,
+                                 [&](TauPathResult&&) {
+                                   ++calls;
+                                   return true;
+                                 }),
+                0u);
+      EXPECT_EQ(calls, 0);
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Differential test.  ReferenceSearch is the τ-path search as it was before
 // the blockage tables: every arc test scans all obstacles of the layer and
@@ -671,6 +701,37 @@ Scene random_scene(std::uint64_t seed, bool bench_sized) {
   return s;
 }
 
+/// Scene `seed` with arc costs near the 2^31 ceiling: a window about 8.6
+/// million wide, so its longest arc at non-preferred weight 250 costs just
+/// under 2^31, and vias just under 2^31.
+Scene high_cost_scene(std::uint64_t seed) {
+  const Coord max_arc = (Coord{1} << 31) - 1;
+  Rng rng(seed * 7919);
+  Scene s;
+  const Coord w = max_arc / 250 - rng.range(0, 1000);
+  s.area = {0, 0, w, rng.range(200'000, 2'000'000)};
+  s.layers.resize(static_cast<std::size_t>(rng.range(2, 3)));
+  for (TauLayer& l : s.layers) {
+    l.tau = rng.range(1, 1000);
+    l.pref = rng.flip(0.5) ? Dir::kHorizontal : Dir::kVertical;
+    for (auto i = rng.range(0, 3); i > 0; --i) {
+      const Coord x = rng.range(0, s.area.xhi);
+      const Coord y = rng.range(0, s.area.yhi);
+      l.obstacles.push_back({x, y, x + rng.range(1, w / 3),
+                             y + rng.range(1, s.area.yhi / 2)});
+    }
+  }
+  s.via_cost = max_arc - rng.range(0, 1000);
+  s.nonpref_pct = 250;
+  s.source = {rng.range(0, w / 10), rng.range(0, s.area.yhi), 0};
+  for (int i = 0; i < 6; ++i) {
+    s.targets.push_back({rng.range(0, w), rng.range(0, s.area.yhi),
+                         static_cast<int>(rng.below(s.layers.size()))});
+  }
+  s.max_results = 8;
+  return s;
+}
+
 void expect_same_paths(const std::vector<TauPathResult>& got,
                        const std::vector<TauPathResult>& want) {
   ASSERT_EQ(got.size(), want.size());
@@ -717,39 +778,60 @@ TEST(TauPathDifferential, CostsPastTwoToThe32MatchObstacleScan) {
   // Arc costs near the 2^31 ceiling: distances cross 2^32 many times, so
   // the heap key's distance half wraps and only the signed difference
   // keeps the pop order.
-  const Coord max_arc = (Coord{1} << 31) - 1;
   int past_2_32 = 0;
   for (std::uint64_t seed = 1; seed <= 40; ++seed) {
     SCOPED_TRACE("scene seed " + std::to_string(seed));
-    Rng rng(seed * 7919);
-    const Coord w = max_arc / 250 - rng.range(0, 1000);
-    const Rect area{0, 0, w, rng.range(200'000, 2'000'000)};
-    std::vector<TauLayer> layers(static_cast<std::size_t>(rng.range(2, 3)));
-    for (TauLayer& l : layers) {
-      l.tau = rng.range(1, 1000);
-      l.pref = rng.flip(0.5) ? Dir::kHorizontal : Dir::kVertical;
-      for (auto i = rng.range(0, 3); i > 0; --i) {
-        const Coord x = rng.range(0, area.xhi);
-        const Coord y = rng.range(0, area.yhi);
-        l.obstacles.push_back({x, y, x + rng.range(1, w / 3),
-                               y + rng.range(1, area.yhi / 2)});
-      }
-    }
-    const Coord via = max_arc - rng.range(0, 1000);
-    const PointL src{rng.range(0, w / 10), rng.range(0, area.yhi), 0};
-    std::vector<PointL> tgt;
-    for (int i = 0; i < 6; ++i) {
-      tgt.push_back({rng.range(0, w), rng.range(0, area.yhi),
-                     static_cast<int>(rng.below(layers.size()))});
-    }
-    const TauPathSearch search(area, layers, via, 250);
-    const ReferenceSearch ref(area, layers, via, 250);
-    const auto want = ref.all_paths(src, tgt, 8);
-    expect_same_paths(search.all_paths(src, tgt, 8), want);
+    const Scene s = high_cost_scene(seed);
+    const TauPathSearch search(s.area, s.layers, s.via_cost, s.nonpref_pct);
+    const ReferenceSearch ref(s.area, s.layers, s.via_cost, s.nonpref_pct);
+    const auto want = ref.all_paths(s.source, s.targets, s.max_results);
+    expect_same_paths(search.all_paths(s.source, s.targets, s.max_results),
+                      want);
     if (HasFailure()) return;
     for (const TauPathResult& r : want) past_2_32 += r.cost > (Coord{1} << 32);
   }
   EXPECT_GE(past_2_32, 20);
+}
+
+TEST(TauPathDifferential, EachPathStopsWhereTheCallerSays) {
+  // The caller stops the search after a seeded k-th path, k in
+  // [1, max_results]: the paths handed over are the first k of the
+  // reference's (all of them if it finds fewer), and the callback is never
+  // called again after it returned false.
+  int stopped_early = 0;
+  auto check = [&](const Scene& s, std::uint64_t seed) {
+    Rng rng(seed * 104729 + 17);
+    const std::size_t k = 1 + rng.below(s.max_results);
+    const TauPathSearch search(s.area, s.layers, s.via_cost, s.nonpref_pct);
+    const ReferenceSearch ref(s.area, s.layers, s.via_cost, s.nonpref_pct);
+    auto want = ref.all_paths(s.source, s.targets, s.max_results);
+    if (k < want.size()) {
+      want.resize(k);
+      ++stopped_early;
+    }
+    std::vector<TauPathResult> got;
+    bool said_stop = false;
+    search.each_path(s.source, s.targets, s.max_results,
+                     [&](TauPathResult&& r) {
+                       EXPECT_FALSE(said_stop) << "called after a stop";
+                       got.push_back(std::move(r));
+                       said_stop = got.size() >= k;
+                       return !said_stop;
+                     });
+    expect_same_paths(got, want);
+  };
+  for (std::uint64_t seed = 1; seed <= 540; ++seed) {
+    SCOPED_TRACE("scene seed " + std::to_string(seed));
+    check(random_scene(seed, seed % 30 == 0), seed);
+    if (HasFailure()) return;
+  }
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    SCOPED_TRACE("high-cost scene seed " + std::to_string(seed));
+    check(high_cost_scene(seed), seed);
+    if (HasFailure()) return;
+  }
+  // Many searches are stopped before they run out of paths or of results.
+  EXPECT_GE(stopped_early, 100);
 }
 
 TEST(TauPathDifferential, TablesMatchObstacleScan) {
